@@ -89,10 +89,18 @@ timeline:
 # deterministic dimensions — artifact fingerprints, calibration bands,
 # degradation drift — gate at full strictness; the wall-clock tolerance is
 # widened to 4x so slower machines don't fail on honest hardware differences.
+# A second cell gates the same configuration under -chaos heavy against
+# internal/runs/testdata/golden-chaos (captured the same way). Heavy chaos
+# moves https_share and unreachable_share outside the paper bands by design,
+# so that cell gates fingerprints and degradations with calibration off.
 gate: test
 	$(GO) run ./cmd/scfpipe -seed 1 -scale 0.01 -workers 4 -chaos none -skip-c2 \
 		-run-dir .runs > /dev/null
 	$(GO) run ./cmd/scfruns gate -dir .runs -baseline internal/runs/testdata/golden -wall-tol 3 -quiet
+	$(GO) run ./cmd/scfpipe -seed 1 -scale 0.01 -workers 4 -chaos heavy -skip-c2 \
+		-run-dir .runs > /dev/null
+	$(GO) run ./cmd/scfruns gate -dir .runs -baseline internal/runs/testdata/golden-chaos -wall-tol 3 \
+		-no-calibration -quiet
 
 # SLO health check: run the golden configuration with the streaming health
 # monitor in strict mode. Exits non-zero if any rule fires (per-provider
