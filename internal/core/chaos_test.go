@@ -58,7 +58,8 @@ func faultCounters(r *Results) map[string]int64 {
 // TestPipelineChaosWorkerInvariance pins the acceptance criterion: with a
 // fixed chaos seed, runs at different worker counts inject the identical
 // fault schedule and produce identical quarantine/retry counts and identical
-// Table 2 / Fig. 3–5 outputs.
+// Table 2–3 / Fig. 3–5 / disclosure outputs — every artifact the gate
+// fingerprints (runs.DeterministicArtifacts).
 func TestPipelineChaosWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three pipeline runs")
@@ -66,10 +67,12 @@ func TestPipelineChaosWorkerInvariance(t *testing.T) {
 	base := chaosRun(t, 1)
 	baseCounters := faultCounters(base)
 	baseRenders := map[string]string{
-		"table2": base.RenderTable2(),
-		"fig3":   base.RenderFigure3(),
-		"fig4":   base.RenderFigure4(),
-		"fig5":   base.RenderFigure5(),
+		"table2":      base.RenderTable2(),
+		"table3":      base.RenderTable3(),
+		"fig3":        base.RenderFigure3(),
+		"fig4":        base.RenderFigure4(),
+		"fig5":        base.RenderFigure5(),
+		"disclosures": base.RenderDisclosures(),
 	}
 	if baseCounters["fault_resets_injected_total"] == 0 &&
 		baseCounters["fault_dns_injected_total"] == 0 {
@@ -85,12 +88,16 @@ func TestPipelineChaosWorkerInvariance(t *testing.T) {
 			switch name {
 			case "table2":
 				got = r.RenderTable2()
+			case "table3":
+				got = r.RenderTable3()
 			case "fig3":
 				got = r.RenderFigure3()
 			case "fig4":
 				got = r.RenderFigure4()
 			case "fig5":
 				got = r.RenderFigure5()
+			case "disclosures":
+				got = r.RenderDisclosures()
 			}
 			if got != want {
 				t.Errorf("workers=%d %s diverged from workers=1", workers, name)

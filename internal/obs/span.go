@@ -53,14 +53,14 @@ func SpanFrom(ctx context.Context) *Span {
 // once; a span left open reports zero duration in Records.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	sp := &Span{
-		name:     name,
-		start:    time.Now(),
-		cpuStart: processCPUTime(),
+		name:  name,
+		start: time.Now(),
 	}
 	if parent := SpanFrom(ctx); parent != nil {
 		parent.addChild(sp)
 	} else {
 		sp.root = true
+		sp.cpuStart = processCPUTime()
 		if tr := TraceFrom(ctx); tr != nil {
 			tr.addRoot(sp)
 		}
@@ -102,9 +102,11 @@ func (t *Trace) Records() []SpanRecord {
 }
 
 // Span is one timed region of a run: a pipeline stage, a sweep, a substrate
-// build. CPU time is the process-wide CPU delta over the span's lifetime, so
-// concurrent spans each report the shared total; for the serial stage spans
-// of core.Run the attribution is exact.
+// build. CPU time is the process-wide CPU delta over the span's lifetime,
+// recorded for root spans only: the stages of core.Run run one after
+// another, so a root span's delta is that stage's CPU, whereas nested spans
+// run concurrently (the emit shards) or overlap other work and would each
+// report the shared process total. Nested spans report zero CPU.
 type Span struct {
 	name     string
 	start    time.Time
@@ -164,14 +166,17 @@ func (s *Span) SetError(err error) {
 	s.mu.Unlock()
 }
 
-// End closes the span, fixing its wall and CPU durations. Second and later
-// calls are no-ops.
+// End closes the span, fixing its wall duration and, for a root span, its
+// CPU duration. Second and later calls are no-ops.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	wall := time.Since(s.start)
-	cpu := processCPUTime() - s.cpuStart
+	var cpu time.Duration
+	if s.root {
+		cpu = processCPUTime() - s.cpuStart
+	}
 	s.mu.Lock()
 	ended := s.ended
 	if !s.ended {

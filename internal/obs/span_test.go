@@ -108,3 +108,55 @@ func TestStartSpanWithoutTrace(t *testing.T) {
 		t.Fatalf("record = %+v", rec)
 	}
 }
+
+// TestSpanCPUOnlyOnRoots pins the CPU attribution rule: a root (stage) span
+// records the process CPU spent over its lifetime, while nested spans —
+// which may run concurrently, like the per-shard emit spans — record none,
+// instead of each claiming the shared process total.
+func TestSpanCPUOnlyOnRoots(t *testing.T) {
+	if processCPUTime() == 0 {
+		t.Skip("process CPU time unavailable on this platform")
+	}
+	tr := NewTrace()
+	ctx := ContextWithTrace(context.Background(), tr)
+	sctx, stage := StartSpan(ctx, "identify")
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		_, shard := StartSpan(sctx, "emit-shard")
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer shard.End()
+			burnCPU(20 * time.Millisecond)
+		}()
+	}
+	wg.Wait()
+	stage.End()
+
+	recs := tr.Records()
+	if len(recs) != 1 || len(recs[0].Children) != 2 {
+		t.Fatalf("trace = %+v, want one stage with two shards", recs)
+	}
+	if recs[0].CPUNS <= 0 {
+		t.Errorf("stage cpu_ns = %d, want > 0", recs[0].CPUNS)
+	}
+	for _, ch := range recs[0].Children {
+		if ch.CPUNS != 0 || ch.CPU != "0s" {
+			t.Errorf("nested span %s cpu = %d (%s), want 0", ch.Name, ch.CPUNS, ch.CPU)
+		}
+		if ch.WallNS <= 0 {
+			t.Errorf("nested span %s wall = %d, want > 0", ch.Name, ch.WallNS)
+		}
+	}
+}
+
+// burnCPU spins for at least d of wall time.
+func burnCPU(d time.Duration) {
+	x := 0
+	for start := time.Now(); time.Since(start) < d; {
+		for i := 0; i < 1000; i++ {
+			x += i
+		}
+	}
+	_ = x
+}

@@ -223,6 +223,10 @@ func (a *Aggregator) Presize(fqdns int) {
 // Add folds one record into the aggregate. Records outside the window or not
 // matching any provider are counted but otherwise ignored. Invalid records
 // are dropped, mirroring a production feed consumer.
+//
+// Add is the record-at-a-time adapter for consumers at the edges (the
+// examples, the public facade) and the reference oracle AddBatch is tested
+// and fuzzed against; the pipeline itself aggregates through AddBatch.
 func (a *Aggregator) Add(r *Record) {
 	a.scanned++
 	a.mScanned.Inc()

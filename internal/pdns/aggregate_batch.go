@@ -27,29 +27,26 @@ type provEntry struct {
 
 // AddBatch folds every row of b into the aggregate, equivalent to calling
 // Add on each materialised record but without per-record string or map-key
-// work: the first batch's intern table is adopted, identification and
-// FQDNStats lookups are cached per symbol, and FQDNStats/bitset storage
-// comes from slab arenas.
+// work: the batch's intern table is adopted, identification and FQDNStats
+// lookups are cached per symbol, and FQDNStats/bitset storage comes from
+// slab arenas.
 //
-// The adopted Symtab must be the one backing every subsequent batch from
-// this producer (Reset keeps it, so a streaming producer satisfies this for
-// free). A batch carrying a different table falls back to the scalar path —
-// correct, just slower — so mixed producers degrade instead of corrupting.
+// A streaming producer keeps one Symtab for its whole stream (Reset keeps
+// it), so the caches stay warm across its batches. A batch carrying a
+// different table is adopted in turn: the per-symbol caches only memoise
+// the string-keyed state, so they are dropped and rebuilt — correct, just
+// colder — and mixed producers degrade instead of corrupting.
+//
+// Add is the scalar reference this must always agree with
+// (FuzzAddBatchMatchesAdd); no pipeline path calls Add.
 func (a *Aggregator) AddBatch(b *RecordBatch) {
 	n := b.Len()
 	if n == 0 {
 		return
 	}
-	if a.symtab == nil {
-		a.symtab = b.Syms
-	}
 	if a.symtab != b.Syms {
-		var rec Record
-		for i := 0; i < n; i++ {
-			b.At(i, &rec)
-			a.Add(&rec)
-		}
-		return
+		a.symtab = b.Syms
+		a.bySym, a.identBySym = nil, nil
 	}
 	a.growSym(b.Syms.Len())
 	for i := 0; i < n; i++ {

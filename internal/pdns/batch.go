@@ -88,6 +88,25 @@ func (b *RecordBatch) At(i int, r *Record) {
 	r.PDate = b.PDate[i]
 }
 
+// Set overwrites row i from a scalar record — the inverse of At. Strings are
+// re-interned only when they differ from the row's current symbol, so a row
+// written back unchanged costs no intern-table lookup; a changed string
+// (including the empty FQDN a corrupting hook leaves) gets its symbol from
+// the batch's own table, and rowValid judges the row as Validate would.
+func (b *RecordBatch) Set(i int, r *Record) {
+	if r.FQDN != b.Syms.Lookup(b.FQDN[i]) {
+		b.FQDN[i] = b.Syms.Intern(r.FQDN)
+	}
+	if r.RData != b.Syms.Lookup(b.RData[i]) {
+		b.RData[i] = b.Syms.Intern(r.RData)
+	}
+	b.RType[i] = r.RType
+	b.FirstSeen[i] = r.FirstSeen.Unix()
+	b.LastSeen[i] = r.LastSeen.Unix()
+	b.RequestCnt[i] = r.RequestCnt
+	b.PDate[i] = r.PDate
+}
+
 // rowValid mirrors Record.Validate with pure integer comparisons: non-empty
 // fqdn, non-negative count, last_seen >= first_seen, and pdate equal to
 // first_seen's UTC day. Date(firstUnix/86400) is exactly DateOf(FirstSeen)

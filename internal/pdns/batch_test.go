@@ -237,7 +237,7 @@ func TestAddBatchMatchesAdd(t *testing.T) {
 }
 
 // TestAddBatchForeignSymtab: a batch whose Symtab is not the adopted one must
-// still aggregate correctly (via the scalar fallback).
+// still aggregate correctly (the per-symbol caches are rebuilt for it).
 func TestAddBatchForeignSymtab(t *testing.T) {
 	start, end := testWindow()
 	recs := batchRecords()
@@ -256,8 +256,9 @@ func TestAddBatchForeignSymtab(t *testing.T) {
 	}
 }
 
-// TestAddBatchMixedWithAdd interleaves scalar Add calls with batches, the
-// shape core.Run would produce if a chaos hook forced some records scalar.
+// TestAddBatchMixedWithAdd interleaves scalar Add calls with batches: the
+// two entry points share one aggregator state, so an edge consumer may mix
+// them freely.
 func TestAddBatchMixedWithAdd(t *testing.T) {
 	start, end := testWindow()
 	recs := batchRecords()
@@ -271,7 +272,7 @@ func TestAddBatchMixedWithAdd(t *testing.T) {
 	got.AddBatch(batchOf(recs[:2]))
 	got.Add(&recs[2])
 	b := batchOf(recs[3:])
-	got.AddBatch(b) // foreign table again — fallback path
+	got.AddBatch(b) // foreign table again — caches rebuilt
 	if !reflect.DeepEqual(want.Finish(), got.Finish()) {
 		t.Fatal("mixed Add/AddBatch diverged from scalar aggregate")
 	}

@@ -5,7 +5,9 @@ import (
 	"compress/gzip"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
+	"time"
 )
 
 // FuzzTSVReader checks that arbitrary input never panics the TSV parser and
@@ -212,6 +214,66 @@ func FuzzQuarantineTruncatedGzip(f *testing.F) {
 			if err != nil {
 				return
 			}
+		}
+	})
+}
+
+// FuzzAddBatchMatchesAdd drives the columnar aggregator against the scalar
+// reference on arbitrary row streams. Each input byte picks a row from a
+// small pool of function and non-function FQDNs, days (some outside the
+// window), rtypes and rdata, and may mangle it the three ways a corrupting
+// feed hook does (empty FQDN, negative request_cnt, last_seen before
+// first_seen). Mangles go through At → mutate → Set exactly as the
+// pipeline's hooks do, so the empty FQDN gets interned mid-stream into a
+// table that already issued other symbols. The batch side flushes every few
+// rows through one reused batch, like a streaming shard.
+func FuzzAddBatchMatchesAdd(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{0x40, 0x81, 0xc2, 0x03, 0x44})
+	f.Add([]byte{0xff, 0x00, 0xff, 0x13, 0x37})
+	f.Add([]byte{0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f, 0x7f})
+	start, end := testWindow()
+	fqdns := []string{
+		"1234567890-abcdefghij-ap-guangzhou.scf.tencentcs.com",
+		"x.lambda-url.us-east-1.on.aws",
+		"Y.LAMBDA-URL.us-east-1.on.aws",
+		"not-a-function.example.com",
+	}
+	days := []Date{start, start.AddDays(1), start.AddDays(400), end, end.AddDays(1), start.AddDays(-3)}
+	rtypes := []RType{TypeA, TypeAAAA, TypeCNAME, RType(16)}
+	rdatas := []string{"1.2.3.4", "2600::1", "gz.scf.tencentcs.com", ""}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		want := NewAggregator(nil, start, end)
+		got := NewAggregator(nil, start, end)
+		batch := NewRecordBatch(4)
+		flush := func() {
+			got.AddBatch(batch)
+			batch.Reset()
+		}
+		var rec Record
+		for i, c := range in {
+			r := mkRecord(fqdns[int(c)%len(fqdns)], days[int(c>>2)%len(days)],
+				rtypes[int(c>>4)%len(rtypes)], rdatas[(int(c)+i)%len(rdatas)], int64(c)*int64(i+1))
+			batch.AppendRecord(&r)
+			row := batch.Len() - 1
+			batch.At(row, &rec)
+			switch c >> 6 {
+			case 1:
+				rec.FQDN = ""
+			case 2:
+				rec.RequestCnt = -rec.RequestCnt - 1
+			case 3:
+				rec.LastSeen = rec.FirstSeen.Add(-time.Hour)
+			}
+			batch.Set(row, &rec)
+			want.Add(&rec)
+			if batch.Len() == 3 {
+				flush()
+			}
+		}
+		flush()
+		if !reflect.DeepEqual(want.Finish(), got.Finish()) {
+			t.Fatalf("AddBatch aggregate diverged from Add on input %x", in)
 		}
 	})
 }

@@ -1,17 +1,11 @@
 package pdns
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-
-	"repro/internal/providers"
-)
+import "fmt"
 
 // Merge folds other into ag, combining per-FQDN and per-provider statistics
 // as if both aggregates had been produced by a single pass. The windows
 // must match. Merging enables sharded aggregation: split the feed, run one
-// Aggregator per shard, merge the results (see ParallelAggregate).
+// Aggregator per shard, merge the results (see workload.AggregateParallel).
 //
 // DaysCount merges conservatively: when the same FQDN appears in both
 // shards, duplicate active days cannot be detected post-hoc, so callers
@@ -95,75 +89,4 @@ func ShardByFQDN(fqdn string, shards int) int {
 		return 0
 	}
 	return int(HashFQDN(fqdn) % uint64(shards))
-}
-
-// ParallelAggregate consumes records from next (which returns nil at end of
-// stream) using one Aggregator per worker, sharded by FQDN, and merges the
-// results. next is called from a single goroutine; records are fanned out
-// by shard so per-FQDN metrics are exact. workers <= 0 selects GOMAXPROCS.
-func ParallelAggregate(matcher *providers.Matcher, start, end Date, workers int, next func() (*Record, bool)) (*Aggregate, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		a := NewAggregator(matcher, start, end)
-		for {
-			r, ok := next()
-			if !ok {
-				break
-			}
-			a.Add(r)
-		}
-		return a.Finish(), nil
-	}
-
-	chans := make([]chan Record, workers)
-	aggs := make([]*Aggregator, workers)
-	var wg sync.WaitGroup
-	for i := range chans {
-		chans[i] = make(chan Record, 1024)
-		aggs[i] = NewAggregator(matcher, start, end)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := range chans[i] {
-				aggs[i].Add(&r)
-			}
-		}(i)
-	}
-	for {
-		r, ok := next()
-		if !ok {
-			break
-		}
-		chans[ShardByFQDN(r.FQDN, workers)] <- *r
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-
-	// Merge the smaller shards into the largest one: FQDN-disjoint shards
-	// make Merge commutative (it recomputes Domains at the end), and the
-	// biggest map then never rehashes to absorb the rest.
-	finished := make([]*Aggregate, len(aggs))
-	for i, a := range aggs {
-		finished[i] = a.Finish()
-	}
-	base := 0
-	for i, ag := range finished {
-		if ag.TotalDomains() > finished[base].TotalDomains() {
-			base = i
-		}
-	}
-	out := finished[base]
-	for i, ag := range finished {
-		if i == base {
-			continue
-		}
-		if err := out.Merge(ag); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -102,51 +102,6 @@ func TestShardByFQDNStable(t *testing.T) {
 	}
 }
 
-func TestParallelAggregateMatchesSerial(t *testing.T) {
-	start, end := testWindow()
-	var recs []Record
-	fqdns := []string{
-		"a.lambda-url.us-east-1.on.aws",
-		"b.lambda-url.eu-west-1.on.aws",
-		"x-y-abcdefghij.cn-shanghai.fcapp.run",
-		"1234567890-abcdefghij-ap-guangzhou.scf.tencentcs.com",
-	}
-	for i := 0; i < 400; i++ {
-		recs = append(recs, mkRecord(fqdns[i%len(fqdns)], start.AddDays(i%500), TypeA, "9.9.9.9", int64(1+i%7)))
-	}
-
-	serial := NewAggregator(nil, start, end)
-	for i := range recs {
-		serial.Add(&recs[i])
-	}
-	want := serial.Finish()
-
-	for _, workers := range []int{1, 2, 4} {
-		idx := 0
-		got, err := ParallelAggregate(nil, start, end, workers, func() (*Record, bool) {
-			if idx >= len(recs) {
-				return nil, false
-			}
-			r := &recs[idx]
-			idx++
-			return r, true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.TotalDomains() != want.TotalDomains() || got.TotalRequests() != want.TotalRequests() {
-			t.Errorf("workers=%d: totals %d/%d, want %d/%d", workers,
-				got.TotalDomains(), got.TotalRequests(), want.TotalDomains(), want.TotalRequests())
-		}
-		for fqdn, w := range want.ByFQDN {
-			g := got.ByFQDN[fqdn]
-			if g == nil || g.DaysCount != w.DaysCount || g.TotalRequest != w.TotalRequest {
-				t.Errorf("workers=%d %s: %+v, want %+v", workers, fqdn, g, w)
-			}
-		}
-	}
-}
-
 func TestFileRoundTripFormats(t *testing.T) {
 	start, _ := testWindow()
 	recs := []Record{

@@ -275,9 +275,12 @@ func (p *Prober) Stats() Stats {
 // Retries configured, connection-class failures (resets, refusals) earn up
 // to Retries extra attempts per scheme with exponential backoff and
 // deterministic per-FQDN jitter; timeouts and DNS failures never retry.
-func (p *Prober) Probe(ctx context.Context, fqdn string) Result {
+//
+// res is a named result so the deferred bookkeeping, which stamps Elapsed,
+// writes into the value the caller receives rather than a copy.
+func (p *Prober) Probe(ctx context.Context, fqdn string) (res Result) {
 	start := time.Now()
-	res := Result{FQDN: fqdn}
+	res = Result{FQDN: fqdn}
 	connRetries := 0
 	provider := p.provider(fqdn)
 	p.mInflight.Add(1)

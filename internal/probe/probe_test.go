@@ -142,6 +142,28 @@ func TestProbeTimeoutClassified(t *testing.T) {
 	}
 }
 
+// TestProbeElapsedCoversStall: a target that never answers holds the probe
+// for at least one full timeout, and the result's Elapsed must say so.
+func TestProbeElapsedCoversStall(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+	})
+	tlsAddr, plainAddr, cleanup := newServerPair(t, h)
+	defer cleanup()
+	const timeout = 150 * time.Millisecond
+	p := New(Config{DialContext: schemeDialer(tlsAddr, plainAddr), Timeout: timeout})
+	res := p.Probe(context.Background(), "stalled.lambda-url.us-east-1.on.aws")
+	if res.Failure != FailTimeout {
+		t.Fatalf("failure = %q, want timeout", res.Failure)
+	}
+	if res.Elapsed < timeout {
+		t.Errorf("Elapsed = %v, want >= the %v timeout", res.Elapsed, timeout)
+	}
+}
+
 func TestProbeDNSPrecheck(t *testing.T) {
 	p := New(Config{
 		Resolve: func(fqdn string) error {

@@ -9,8 +9,9 @@ import (
 )
 
 // StageTimings renders a run's span tree as an aligned stage-timing table:
-// one row per span, children indented, with wall time, process-CPU time, the
-// share of total root wall time, and any recorded attributes or errors. This
+// one row per span, children indented, with wall time, process-CPU time
+// (stages only: nested spans record none and show "-"), the share of total
+// root wall time, and any recorded attributes or errors. This
 // is the human-readable face of the RunManifest.
 func StageTimings(recs []obs.SpanRecord) string {
 	t := NewTable("Stage timings", "Stage", "Wall", "CPU", "Share", "Notes")

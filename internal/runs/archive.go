@@ -51,14 +51,17 @@ const (
 )
 
 // DeterministicArtifacts names the emitted artifacts that are bit-identical
-// for a fixed (seed, config, workers) triple — the worker-invariance tests
-// of internal/workload pin them. Only these participate in fingerprint
-// gating; the rest are recorded and diffed but never fail a gate.
+// for a fixed (seed, config) pair at any worker count — the
+// worker-invariance tests of internal/workload and internal/core pin them.
+// Only these participate in fingerprint gating; the rest are recorded and
+// diffed but never fail a gate.
 var DeterministicArtifacts = map[string]bool{
-	"table2.txt": true,
-	"fig3.txt":   true,
-	"fig4.txt":   true,
-	"fig5.txt":   true,
+	"table2.txt":      true,
+	"table3.txt":      true,
+	"fig3.txt":        true,
+	"fig4.txt":        true,
+	"fig5.txt":        true,
+	"disclosures.txt": true,
 }
 
 // Summary is the deterministic half of a run archive: identity, config,

@@ -187,15 +187,18 @@ func TestGateDegradationDrift(t *testing.T) {
 
 func TestGateDeterministicArtifactMismatch(t *testing.T) {
 	a := baselineRecord()
+	a.Summary.Artifacts["notes.txt"] = Fingerprint("n")
 	b := clone(a)
 	b.Summary.Artifacts["fig5.txt"] = Fingerprint("different")
 	b.Summary.Artifacts["disclosures.txt"] = Fingerprint("also different")
+	b.Summary.Artifacts["notes.txt"] = Fingerprint("n2")
 	rep := Diff(a, b)
 	v := rep.Gate(GateOptions{WallTol: -1, P99Tol: -1, Artifacts: true})
-	// Only fig5.txt is in the deterministic gating set; disclosures.txt is
-	// recorded but must not fail the gate.
-	if len(v) != 1 || !strings.Contains(v[0], "fig5.txt") {
-		t.Fatalf("want one fig5.txt violation, got %v", v)
+	// fig5.txt and disclosures.txt are in the deterministic gating set;
+	// notes.txt is not, so it is recorded but must not fail the gate.
+	if len(v) != 2 || !strings.Contains(strings.Join(v, "\n"), "fig5.txt") ||
+		!strings.Contains(strings.Join(v, "\n"), "disclosures.txt") {
+		t.Fatalf("want fig5.txt and disclosures.txt violations, got %v", v)
 	}
 }
 

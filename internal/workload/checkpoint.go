@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -117,13 +118,57 @@ func (c *emitCoord) countRow() {
 	}
 }
 
-// emitShardBatchCkpt is the coordinator's columnar shard loop: the same
-// batch reuse and flush cadence as emitShardBatch, plus function-granular
-// locking, resume skip, cancellation checks, and row accounting.
+// newEmitCoord builds a coordinator for workers shards. ck may be nil (no
+// snapshots, no row accounting); rs, if given, restores each shard's
+// function frontier and the global row count.
+func newEmitCoord(ck *EmitCheckpoint, rs *EmitResume, workers int) *emitCoord {
+	c := &emitCoord{ck: ck, shards: make([]emitShardState, workers)}
+	if rs != nil {
+		c.rows.Store(rs.Rows)
+		for i := range c.shards {
+			c.shards[i].progress = rs.Progress[i]
+		}
+	}
+	if ck != nil && ck.Interval > 0 {
+		c.nextDue.Store(c.rows.Load() + ck.Interval)
+	}
+	return c
+}
+
+// run emits every shard on its own goroutine, shard i into sinks[i], and
+// returns the per-shard errors. Each worker merges a "shard" pprof label
+// into whatever labels ctx already carries (core's startStage puts the
+// "stage" label there), so profile samples answer "which shard of identify
+// burnt the time".
+func (c *emitCoord) run(ctx context.Context, pop *Population, resolver *dnssim.Resolver, rowsPerBatch int, sinks []func(*pdns.RecordBatch) error) []error {
+	if rowsPerBatch <= 0 {
+		rowsPerBatch = pdns.DefaultBatchRows
+	}
+	shards := shardFunctions(pop, len(sinks))
+	errs := make([]error, len(sinks))
+	var wg sync.WaitGroup
+	for wkr := range sinks {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("shard", fmt.Sprintf("%d", wkr))))
+			errs[wkr] = c.emitShardBatchCkpt(ctx, pop, resolver, wkr, shards[wkr], rowsPerBatch, sinks[wkr])
+		}(wkr)
+	}
+	wg.Wait()
+	return errs
+}
+
+// emitShardBatchCkpt is the one shard emission loop: batch reuse and flush
+// cadence, function-granular locking, resume skip, cancellation checks,
+// and row accounting. The shard keeps one RNG and reseeds it per function
+// with functionSeed — the same stream functionRNG would build, without
+// allocating a fresh 5 KB source for every function.
 func (c *emitCoord) emitShardBatchCkpt(ctx context.Context, pop *Population, resolver *dnssim.Resolver, i int, funcs []*Function, rowsPerBatch int, sink func(*pdns.RecordBatch) error) error {
 	st := &c.shards[i]
 	batch := pdns.NewRecordBatch(rowsPerBatch)
 	sc := &emitScratch{}
+	rng := rand.New(rand.NewSource(0))
 	var fsym pdns.Sym
 	counting := c.ck != nil
 	row := func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {
@@ -161,7 +206,8 @@ func (c *emitCoord) emitShardBatchCkpt(ctx context.Context, pop *Population, res
 		f := funcs[fi]
 		st.mu.Lock()
 		fsym = batch.Syms.Intern(f.FQDN)
-		err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row)
+		rng.Seed(functionSeed(pop.Config.Seed, f.FQDN))
+		err := emitFunctionInto(pop, f, resolver, rng, sc, row)
 		if err == nil {
 			st.progress = fi + 1
 		}
@@ -175,51 +221,6 @@ func (c *emitCoord) emitShardBatchCkpt(ctx context.Context, pop *Population, res
 	err := st.flush()
 	st.mu.Unlock()
 	return err
-}
-
-// emitShardScalarCkpt is the scalar twin, used when mutate hooks force
-// per-record sinks. Records fold into the aggregator immediately, so there
-// is no pending batch to flush at a snapshot.
-func (c *emitCoord) emitShardScalarCkpt(ctx context.Context, pop *Population, resolver *dnssim.Resolver, i int, funcs []*Function, sink func(*pdns.Record) error) error {
-	st := &c.shards[i]
-	sc := &emitScratch{}
-	counting := c.ck != nil
-	inner := sink
-	if counting {
-		inner = func(r *pdns.Record) error {
-			if err := sink(r); err != nil {
-				return err
-			}
-			c.countRow()
-			return nil
-		}
-	}
-	row := sc.scalarRow(inner)
-	st.mu.Lock()
-	start := st.progress
-	st.mu.Unlock()
-
-	for fi := int64(0); fi < int64(len(funcs)); fi++ {
-		if fi < start {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		f := funcs[fi]
-		st.mu.Lock()
-		sc.fqdn = f.FQDN
-		err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row)
-		if err == nil {
-			st.progress = fi + 1
-		}
-		st.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
-		}
-		c.maybeSnapshot()
-	}
-	return nil
 }
 
 // ctxOnlyErrors reports whether every non-nil shard error is a context
@@ -273,55 +274,24 @@ func AggregateParallelCkpt(ctx context.Context, pop *Population, resolver *dnssi
 	mWorkers := reg.Gauge("workload_emit_workers")
 	mWorkers.Set(int64(workers))
 
-	c := &emitCoord{ck: ck, aggs: aggs, shards: make([]emitShardState, workers)}
-	if rs != nil {
-		c.rows.Store(rs.Rows)
-		for i := range c.shards {
-			c.shards[i].progress = rs.Progress[i]
+	c := newEmitCoord(ck, rs, workers)
+	c.aggs = aggs
+	sinks := make([]func(*pdns.RecordBatch) error, workers)
+	for i := range sinks {
+		agg := aggs[i]
+		var rec pdns.Record
+		sinks[i] = func(b *pdns.RecordBatch) error {
+			if len(mutate) > 0 {
+				mutateRows(b, &rec, mutate)
+			}
+			agg.AddBatch(b)
+			n := int64(b.Len())
+			counts[i] += n
+			emitted[i].Add(n)
+			return nil
 		}
 	}
-	if ck != nil && ck.Interval > 0 {
-		c.nextDue.Store(c.rows.Load() + ck.Interval)
-	}
-
-	shards := shardFunctions(pop, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			// Shard attribution for CPU profiles: merge a "shard" pprof
-			// label into whatever labels ctx already carries (core's
-			// startStage puts the "stage" label there), so profile samples
-			// answer "which shard of identify burnt the time".
-			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("shard", fmt.Sprintf("%d", wkr))))
-			if len(mutate) == 0 {
-				agg := aggs[wkr]
-				sink := func(b *pdns.RecordBatch) error {
-					agg.AddBatch(b)
-					n := int64(b.Len())
-					counts[wkr] += n
-					emitted[wkr].Add(n)
-					return nil
-				}
-				errs[wkr] = c.emitShardBatchCkpt(ctx, pop, resolver, wkr, shards[wkr], pdns.DefaultBatchRows, sink)
-			} else {
-				agg := aggs[wkr]
-				sink := func(r *pdns.Record) error {
-					for _, m := range mutate {
-						m(r)
-					}
-					agg.Add(r)
-					counts[wkr]++
-					emitted[wkr].Inc()
-					return nil
-				}
-				errs[wkr] = c.emitShardScalarCkpt(ctx, pop, resolver, wkr, shards[wkr], sink)
-			}
-		}(wkr)
-	}
-	wg.Wait()
+	errs := c.run(ctx, pop, resolver, pdns.DefaultBatchRows, sinks)
 
 	var err error
 	for _, e := range errs {
@@ -366,4 +336,18 @@ func AggregateParallelCkpt(ctx context.Context, pop *Population, resolver *dnssi
 		}
 	}
 	return out, nil
+}
+
+// mutateRows runs the hooks over every row of b in place: each row is
+// materialised into rec, mutated, and written back (Set re-interns any
+// string a hook changed), so AddBatch's rowValid drops a mangled row
+// exactly where Record.Validate would have.
+func mutateRows(b *pdns.RecordBatch, rec *pdns.Record, mutate []func(*pdns.Record)) {
+	for i := 0; i < b.Len(); i++ {
+		b.At(i, rec)
+		for _, m := range mutate {
+			m(rec)
+		}
+		b.Set(i, rec)
+	}
 }

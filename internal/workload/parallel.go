@@ -20,70 +20,6 @@ func normWorkers(workers int) int {
 	return workers
 }
 
-// EmitPDNSParallel emits the population's PDNS history across a pool of
-// workers. Functions are sharded by pdns.ShardByFQDN, so all records of one
-// function stay on one worker and arrive in their serial order; because
-// every function draws from its own (seed, FQDN)-seeded RNG stream, each
-// record is byte-identical to what EmitPDNS would have produced — only the
-// interleaving across functions differs.
-//
-// Sinks receive the records: pass one sink per worker (sink i sees exactly
-// shard i, called from a single goroutine) to aggregate shard-locally
-// without any cross-worker synchronisation, or a single sink to funnel all
-// shards into one consumer — the single sink is then serialised with a
-// mutex, so it stays correct but no longer scales. workers <= 0 selects
-// GOMAXPROCS. The first error (by shard index) cancels the remaining work.
-func EmitPDNSParallel(pop *Population, resolver *dnssim.Resolver, workers int, sinks ...func(*pdns.Record) error) error {
-	workers = normWorkers(workers)
-	switch {
-	case len(sinks) == 0:
-		return fmt.Errorf("workload: EmitPDNSParallel needs at least one sink")
-	case len(sinks) == 1 && workers > 1:
-		var mu sync.Mutex
-		inner := sinks[0]
-		guarded := func(r *pdns.Record) error {
-			mu.Lock()
-			defer mu.Unlock()
-			return inner(r)
-		}
-		sinks = make([]func(*pdns.Record) error, workers)
-		for i := range sinks {
-			sinks[i] = guarded
-		}
-	case len(sinks) != workers:
-		return fmt.Errorf("workload: EmitPDNSParallel got %d sinks for %d workers (want 1 or exactly %d)", len(sinks), workers, workers)
-	}
-	if workers == 1 {
-		return EmitPDNS(pop, resolver, sinks[0])
-	}
-
-	shards := shardFunctions(pop, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			sc := &emitScratch{}
-			row := sc.scalarRow(sinks[wkr])
-			for _, f := range shards[wkr] {
-				sc.fqdn = f.FQDN
-				if err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row); err != nil {
-					errs[wkr] = fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
-					return
-				}
-			}
-		}(wkr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // shardFunctions pre-shards the function list by pdns.ShardByFQDN so each
 // worker walks only its own functions, in population (FQDN-sorted) order.
 func shardFunctions(pop *Population, workers int) [][]*Function {
@@ -95,71 +31,36 @@ func shardFunctions(pop *Population, workers int) [][]*Function {
 	return shards
 }
 
-// EmitPDNSParallelBatch is the columnar form of EmitPDNSParallel: each
-// worker fills a shard-local pdns.RecordBatch — FQDNs and rdata interned
-// into the batch's own Symtab, numeric columns appended in place — and
-// flushes it to its sink every rowsPerBatch rows plus once at stream end.
-// The batch (and its intern table) is reused across flushes, so sinks must
-// consume rows before returning; symbol IDs are stable for the lifetime of
-// the shard's stream. rowsPerBatch <= 0 selects pdns.DefaultBatchRows.
+// EmitPDNSParallelBatch emits the population's PDNS history as columnar
+// batches across a pool of workers. Functions are sharded by
+// pdns.ShardByFQDN, so all records of one function stay on one worker and
+// arrive in their serial order; because every function draws from its own
+// (seed, FQDN)-seeded RNG stream, each row is identical to what EmitPDNS
+// produces — only the interleaving across functions differs.
+//
+// Each worker fills a shard-local pdns.RecordBatch — FQDNs and rdata
+// interned into the batch's own Symtab, numeric columns appended in place —
+// and flushes it to its sink every rowsPerBatch rows plus once at stream
+// end. The batch (and its intern table) is reused across flushes, so sinks
+// must consume rows before returning; symbol IDs are stable for the
+// lifetime of the shard's stream. rowsPerBatch <= 0 selects
+// pdns.DefaultBatchRows.
 //
 // Exactly one sink per worker is required (sink i sees shard i from a
-// single goroutine); the records, grouped per function, are the same
-// streams EmitPDNS produces, so shard-local aggregation of the batches is
-// bit-identical to the serial scalar pass for any worker count.
+// single goroutine), so shard-local aggregation of the batches is
+// bit-identical to the serial scalar pass for any worker count. This is the
+// checkpoint coordinator's loop with no checkpoint: the one emission path
+// every internal consumer shares.
 func EmitPDNSParallelBatch(pop *Population, resolver *dnssim.Resolver, workers, rowsPerBatch int, sinks ...func(*pdns.RecordBatch) error) error {
 	workers = normWorkers(workers)
 	if len(sinks) != workers {
 		return fmt.Errorf("workload: EmitPDNSParallelBatch got %d sinks for %d workers (want exactly %d)", len(sinks), workers, workers)
 	}
-	if rowsPerBatch <= 0 {
-		rowsPerBatch = pdns.DefaultBatchRows
-	}
-	if workers == 1 {
-		return emitShardBatch(pop, resolver, pop.Functions, rowsPerBatch, sinks[0])
-	}
-	shards := shardFunctions(pop, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			errs[wkr] = emitShardBatch(pop, resolver, shards[wkr], rowsPerBatch, sinks[wkr])
-		}(wkr)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	c := newEmitCoord(nil, nil, workers)
+	for _, err := range c.run(context.Background(), pop, resolver, rowsPerBatch, sinks) {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// emitShardBatch generates one shard's record stream into a reused batch.
-func emitShardBatch(pop *Population, resolver *dnssim.Resolver, funcs []*Function, rowsPerBatch int, sink func(*pdns.RecordBatch) error) error {
-	batch := pdns.NewRecordBatch(rowsPerBatch)
-	sc := &emitScratch{}
-	var fsym pdns.Sym
-	row := func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {
-		batch.Append(fsym, t, batch.Syms.Intern(rdata), firstUnix, lastUnix, cnt, day)
-		if batch.Len() >= rowsPerBatch {
-			if err := sink(batch); err != nil {
-				return err
-			}
-			batch.Reset()
-		}
-		return nil
-	}
-	for _, f := range funcs {
-		fsym = batch.Syms.Intern(f.FQDN)
-		if err := emitFunctionInto(pop, f, resolver, functionRNG(pop.Config.Seed, f.FQDN), sc, row); err != nil {
-			return fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
-		}
-	}
-	if batch.Len() > 0 {
-		return sink(batch)
 	}
 	return nil
 }
@@ -168,7 +69,7 @@ func emitShardBatch(pop *Population, resolver *dnssim.Resolver, funcs []*Functio
 // records, same order, byte-identical output — while generating the
 // per-function streams on a worker pool. It exists for sinks that care
 // about stream order (dataset writers); consumers that aggregate should
-// prefer EmitPDNSParallel, which never buffers. The sink is always called
+// prefer EmitPDNSParallelBatch, which never buffers. The sink is always called
 // from the caller's goroutine. workers <= 0 selects GOMAXPROCS.
 func EmitPDNSOrdered(pop *Population, resolver *dnssim.Resolver, workers int, sink func(*pdns.Record) error) error {
 	workers = normWorkers(workers)
@@ -227,15 +128,11 @@ func EmitPDNSOrdered(pop *Population, resolver *dnssim.Resolver, workers int, si
 // AggregateParallel runs the whole substrate→identification hot path —
 // synthetic PDNS emission plus §3.2 aggregation — on a worker pool: one
 // shard-local pdns.Aggregator per worker fed directly by that worker's
-// emission stream (no channel funnel, no record copies), merged at the end.
-// Because functions are sharded by FQDN and every per-FQDN stream is
+// columnar batches (EmitPDNSParallelBatch's loop → Aggregator.AddBatch: no
+// channel funnel, no per-record allocation), merged at the end. Because
+// functions are sharded by FQDN and every per-FQDN stream is
 // order-independent, the result is identical to the serial EmitPDNS →
-// Aggregator pass for any worker count.
-//
-// Without mutate hooks the records flow as columnar batches
-// (EmitPDNSParallelBatch → Aggregator.AddBatch): interned strings, no
-// per-record allocation. Hooks take *pdns.Record, so their presence selects
-// the scalar path — fault injection keeps working unchanged at scalar cost.
+// Aggregator.Add pass for any worker count.
 //
 // Each shard aggregator is pre-sized from its expected function count, and
 // the merge folds the smaller shards into the largest one instead of
@@ -243,15 +140,17 @@ func EmitPDNSOrdered(pop *Population, resolver *dnssim.Resolver, workers int, si
 // negative scaling the bench history recorded at workers=2.
 //
 // ctx carries the stage trace: each worker shard records an
-// "emit-shard-<i>" span with its function and record counts. reg receives
-// the aggregators' shared throughput counters; both may be nil. A nil
-// matcher selects all collected providers.
+// "emit-shard-<i>" span with its record count. reg receives the
+// aggregators' shared throughput counters; both may be nil. A nil matcher
+// selects all collected providers.
 //
-// mutate hooks, if given, run on each record before aggregation — the
+// mutate hooks, if given, run on each row before aggregation — the
 // fault-injection layer uses one to corrupt a deterministic fraction of the
-// feed (mangled records then fail validation inside the aggregator and are
-// counted as dropped, exactly as a real feed's garbage rows would be). A
-// hook must be safe for concurrent calls; each record it sees is owned by
+// feed (mangled rows then fail validation inside the aggregator and are
+// counted as dropped, exactly as a real feed's garbage rows would be). Rows
+// are materialised into a scalar record for the hooks and written back
+// into the batch, so hooks see exactly the records EmitPDNS would deliver.
+// A hook must be safe for concurrent calls; each record it sees is owned by
 // the current worker for the duration of the call.
 func AggregateParallel(ctx context.Context, pop *Population, resolver *dnssim.Resolver, matcher *providers.Matcher, workers int, reg *obs.Registry, mutate ...func(*pdns.Record)) (*pdns.Aggregate, error) {
 	return AggregateParallelCkpt(ctx, pop, resolver, matcher, workers, reg, nil, nil, mutate...)

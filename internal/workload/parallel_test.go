@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
@@ -14,13 +13,17 @@ import (
 	"repro/internal/pdns"
 )
 
-// serialAggregate is the reference path: the sequential EmitPDNS feeding one
-// Aggregator, exactly as the pipeline ran before parallelisation.
-func serialAggregate(t *testing.T, pop *Population) *pdns.Aggregate {
+// serialAggregate is the reference path: the sequential scalar EmitPDNS,
+// each record passed through the mutate hooks, feeding one Aggregator.Add —
+// exactly as the pipeline ran before parallelisation and batching.
+func serialAggregate(t *testing.T, pop *Population, mutate ...func(*pdns.Record)) *pdns.Aggregate {
 	t.Helper()
 	w := Window()
 	agg := pdns.NewAggregator(nil, w.Start, w.End)
 	if err := EmitPDNS(pop, dnssim.NewResolver(), func(r *pdns.Record) error {
+		for _, m := range mutate {
+			m(r)
+		}
 		agg.Add(r)
 		return nil
 	}); err != nil {
@@ -29,43 +32,46 @@ func serialAggregate(t *testing.T, pop *Population) *pdns.Aggregate {
 	return agg.Finish()
 }
 
+// requireSameAggregate fails t unless got equals want on every observable
+// the pipeline derives from an aggregate: the feed counters, per-function
+// stats, Table 2 rows, and the Figure 3–5 series — not merely statistically
+// close.
+func requireSameAggregate(t *testing.T, got, want *pdns.Aggregate) {
+	t.Helper()
+	if got.Scanned != want.Scanned || got.Matched != want.Matched || got.Dropped != want.Dropped {
+		t.Fatalf("scanned/matched/dropped = %d/%d/%d, want %d/%d/%d",
+			got.Scanned, got.Matched, got.Dropped, want.Scanned, want.Matched, want.Dropped)
+	}
+	if !reflect.DeepEqual(got.PerFunctionStats(), want.PerFunctionStats()) {
+		t.Error("PerFunctionStats differs from serial pass")
+	}
+	if !reflect.DeepEqual(analysis.Table2(got), analysis.Table2(want)) {
+		t.Error("Table 2 rows differ from serial pass")
+	}
+	if !reflect.DeepEqual(analysis.NewFQDNsByMonth(got), analysis.NewFQDNsByMonth(want)) {
+		t.Error("Figure 3 series differs from serial pass")
+	}
+	if !reflect.DeepEqual(analysis.InvocationTrend(got), analysis.InvocationTrend(want)) {
+		t.Error("Figure 4 series differs from serial pass")
+	}
+	if !reflect.DeepEqual(analysis.Frequency(got.PerFunctionStats()), analysis.Frequency(want.PerFunctionStats())) {
+		t.Error("Figure 5 frequency stats differ from serial pass")
+	}
+}
+
 // TestAggregateParallelMatchesSerial is the determinism regression for the
 // parallel hot path: for every worker count the parallel aggregate must be
-// identical to the serial one — same per-function stats, same Table 2 rows,
-// same Figure 3–5 series — not merely statistically close.
+// identical to the serial one.
 func TestAggregateParallelMatchesSerial(t *testing.T) {
 	pop := testPop(t, 0.004)
 	want := serialAggregate(t, pop)
-	wantTable2 := analysis.Table2(want)
-	wantNew := analysis.NewFQDNsByMonth(want)
-	wantTrend := analysis.InvocationTrend(want)
-	wantFreq := analysis.Frequency(want.PerFunctionStats())
-
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			got, err := AggregateParallel(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Scanned != want.Scanned || got.Matched != want.Matched {
-				t.Fatalf("scanned/matched = %d/%d, want %d/%d",
-					got.Scanned, got.Matched, want.Scanned, want.Matched)
-			}
-			if !reflect.DeepEqual(got.PerFunctionStats(), want.PerFunctionStats()) {
-				t.Error("PerFunctionStats differs from serial pass")
-			}
-			if !reflect.DeepEqual(analysis.Table2(got), wantTable2) {
-				t.Error("Table 2 rows differ from serial pass")
-			}
-			if !reflect.DeepEqual(analysis.NewFQDNsByMonth(got), wantNew) {
-				t.Error("Figure 3 series differs from serial pass")
-			}
-			if !reflect.DeepEqual(analysis.InvocationTrend(got), wantTrend) {
-				t.Error("Figure 4 series differs from serial pass")
-			}
-			if !reflect.DeepEqual(analysis.Frequency(got.PerFunctionStats()), wantFreq) {
-				t.Error("Figure 5 frequency stats differ from serial pass")
-			}
+			requireSameAggregate(t, got, want)
 		})
 	}
 }
@@ -121,56 +127,36 @@ func TestGenerateWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestEmitPDNSParallelSinkContract(t *testing.T) {
+// TestEmitPDNSOrderedSinkError: a sink error stops the ordered emission and
+// comes back to the caller.
+func TestEmitPDNSOrderedSinkError(t *testing.T) {
 	pop := testPop(t, 0.001)
-	res := dnssim.NewResolver()
-	if err := EmitPDNSParallel(pop, res, 2); err == nil {
-		t.Error("no sinks: want error, got nil")
-	}
-	sink := func(*pdns.Record) error { return nil }
-	if err := EmitPDNSParallel(pop, res, 4, sink, sink, sink); err == nil {
-		t.Error("3 sinks for 4 workers: want error, got nil")
-	}
-	// One sink for many workers is the documented funnel mode.
-	var n atomic.Int64
-	if err := EmitPDNSParallel(pop, res, 4, func(*pdns.Record) error {
-		n.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() == 0 {
-		t.Error("funnel sink saw no records")
-	}
-	// Sink errors propagate.
 	boom := errors.New("boom")
-	if err := EmitPDNSParallel(pop, res, 2, func(*pdns.Record) error { return boom },
-		func(*pdns.Record) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("sink error: got %v, want %v", err, boom)
-	}
-	if err := EmitPDNSOrdered(pop, res, 2, func(*pdns.Record) error { return boom }); !errors.Is(err, boom) {
+	if err := EmitPDNSOrdered(pop, dnssim.NewResolver(), 2, func(*pdns.Record) error { return boom }); !errors.Is(err, boom) {
 		t.Errorf("ordered sink error: got %v, want %v", err, boom)
 	}
 }
 
 // TestEmitPDNSParallelBatchMatchesScalar: for every worker count, each
-// shard's batch stream must materialise to exactly the records the scalar
-// sharded emission delivers to the same worker — same values, same order.
+// shard's batch stream must materialise to exactly the records the serial
+// scalar EmitPDNS produces for that shard's functions — same values, same
+// order. EmitPDNS builds a fresh RNG per function while the batch loop
+// reseeds one per shard, so this also pins that the two give one stream.
 func TestEmitPDNSParallelBatchMatchesScalar(t *testing.T) {
 	pop := testPop(t, 0.002)
+	var serial []pdns.Record
+	if err := EmitPDNS(pop, dnssim.NewResolver(), func(r *pdns.Record) error {
+		serial = append(serial, *r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			want := make([][]pdns.Record, workers)
-			scalarSinks := make([]func(*pdns.Record) error, workers)
-			for i := range scalarSinks {
-				i := i
-				scalarSinks[i] = func(r *pdns.Record) error {
-					want[i] = append(want[i], *r)
-					return nil
-				}
-			}
-			if err := EmitPDNSParallel(pop, dnssim.NewResolver(), workers, scalarSinks...); err != nil {
-				t.Fatal(err)
+			for _, r := range serial {
+				i := pdns.ShardByFQDN(r.FQDN, workers)
+				want[i] = append(want[i], r)
 			}
 
 			got := make([][]pdns.Record, workers)
@@ -262,35 +248,27 @@ func TestEmitPDNSParallelBatchSinkContract(t *testing.T) {
 }
 
 // TestAggregateParallelMutateHook checks the fault-injection seam: a mutate
-// hook corrupting a deterministic fraction of records yields identical
-// dropped/matched counts and identical surviving aggregates for every worker
-// count — corruption is part of the schedule, not of the interleaving.
+// hook corrupting a deterministic fraction of records must give, for every
+// worker count, exactly the aggregate of the serial reference — scalar
+// EmitPDNS, the same hook per record, Aggregator.Add. Corruption is part of
+// the schedule, not of the interleaving, and hooks on batch rows drop
+// precisely the rows Record.Validate would.
 func TestAggregateParallelMutateHook(t *testing.T) {
 	pop := testPop(t, 0.004)
 	in := fault.New(fault.Profile{Name: "t", Seed: 7, FeedCorrupt: 0.05})
 	mutate := func(r *pdns.Record) { in.CorruptRecord(r) }
-
-	type outcome struct {
-		scanned, matched, dropped int64
-		domains                   int
+	want := serialAggregate(t, pop, mutate)
+	if want.Dropped == 0 {
+		t.Fatal("corrupting mutate hook dropped no records")
 	}
-	var want outcome
-	for i, workers := range []int{1, 2, 8} {
-		got, err := AggregateParallel(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil, mutate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := outcome{got.Scanned, got.Matched, got.Dropped, got.TotalDomains()}
-		if i == 0 {
-			want = o
-			if o.dropped == 0 {
-				t.Fatal("corrupting mutate hook dropped no records")
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			got, err := AggregateParallel(context.Background(), pop, dnssim.NewResolver(), nil, workers, nil, mutate)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if o != want {
-			t.Errorf("workers=%d outcome %+v, want %+v", workers, o, want)
-		}
+			requireSameAggregate(t, got, want)
+		})
 	}
 
 	// The clean aggregate must not see any of this: the hook is opt-in.
@@ -301,7 +279,7 @@ func TestAggregateParallelMutateHook(t *testing.T) {
 	if clean.Dropped != 0 {
 		t.Errorf("clean run dropped %d records", clean.Dropped)
 	}
-	if clean.TotalDomains() < want.domains {
-		t.Errorf("clean domains %d < corrupted domains %d", clean.TotalDomains(), want.domains)
+	if clean.TotalDomains() < want.TotalDomains() {
+		t.Errorf("clean domains %d < corrupted domains %d", clean.TotalDomains(), want.TotalDomains())
 	}
 }

@@ -16,8 +16,8 @@ import (
 //
 // Every function draws from its own RNG stream seeded from
 // (pop.Config.Seed, HashFQDN): a function's records depend only on the seed
-// and its name, never on emission order. That is what lets EmitPDNSParallel
-// and EmitPDNSOrdered fan the very same streams out across workers and
+// and its name, never on emission order. That is what lets
+// EmitPDNSParallelBatch and EmitPDNSOrdered fan the very same streams out across workers and
 // still aggregate bit-identically to this serial path.
 //
 // With cfg.CacheModel set, invocation counts pass through the
@@ -39,7 +39,13 @@ func EmitPDNS(pop *Population, resolver *dnssim.Resolver, sink func(*pdns.Record
 // hash is folded into the seed through a splitmix64 finalizer so that
 // adjacent seeds and similar names still yield uncorrelated streams.
 func functionRNG(seed int64, fqdn string) *rand.Rand {
-	return rand.New(rand.NewSource(int64(mix64(uint64(seed) ^ 0x5eed0d25 ^ pdns.HashFQDN(fqdn)))))
+	return rand.New(rand.NewSource(functionSeed(seed, fqdn)))
+}
+
+// functionSeed is the seed of a function's RNG stream; a shard loop that
+// reuses one *rand.Rand reseeds it with this value per function.
+func functionSeed(seed int64, fqdn string) int64 {
+	return int64(mix64(uint64(seed) ^ 0x5eed0d25 ^ pdns.HashFQDN(fqdn)))
 }
 
 // mix64 is the splitmix64 finalizer, a cheap full-avalanche bijection.
