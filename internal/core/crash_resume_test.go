@@ -114,7 +114,13 @@ func runChild(t *testing.T, dir, chaos, scale, timeoutMS string, workers int, in
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, exe)
+	// The child runs exactly the chaos spec the caller names. An ambient
+	// SCF_CHAOS (make chaos) would otherwise reach only the invocation whose
+	// spec is empty — core defers to the environment only for an unset
+	// profile — so the crashing and the resuming child would run different
+	// configurations and land in different run slots.
 	cmd.Env = append(os.Environ(),
+		fault.EnvVar+"=",
 		envChild+"=1",
 		envScale+"="+scale,
 		envWorkers+"="+strconv.Itoa(workers),

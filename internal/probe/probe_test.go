@@ -123,15 +123,22 @@ func TestProbeUnreachable(t *testing.T) {
 	}
 }
 
+// stallHandler never answers until release is called. It deliberately
+// ignores the request context: a handler that returns when the client hangs
+// up writes a 200 that the client transport can still deliver as the
+// response if it arrives in the same instant the client's timeout fires.
+// Call release before closing the servers, which wait for their handlers.
+func stallHandler() (h http.Handler, release func()) {
+	ch := make(chan struct{})
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { <-ch }),
+		func() { close(ch) }
+}
+
 func TestProbeTimeoutClassified(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-time.After(5 * time.Second):
-		}
-	})
+	h, release := stallHandler()
 	tlsAddr, plainAddr, cleanup := newServerPair(t, h)
 	defer cleanup()
+	defer release()
 	p := New(Config{DialContext: schemeDialer(tlsAddr, plainAddr), Timeout: 150 * time.Millisecond})
 	res := p.Probe(context.Background(), "slow.lambda-url.us-east-1.on.aws")
 	if res.Reachable {
@@ -145,14 +152,10 @@ func TestProbeTimeoutClassified(t *testing.T) {
 // TestProbeElapsedCoversStall: a target that never answers holds the probe
 // for at least one full timeout, and the result's Elapsed must say so.
 func TestProbeElapsedCoversStall(t *testing.T) {
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-time.After(5 * time.Second):
-		}
-	})
+	h, release := stallHandler()
 	tlsAddr, plainAddr, cleanup := newServerPair(t, h)
 	defer cleanup()
+	defer release()
 	const timeout = 150 * time.Millisecond
 	p := New(Config{DialContext: schemeDialer(tlsAddr, plainAddr), Timeout: timeout})
 	res := p.Probe(context.Background(), "stalled.lambda-url.us-east-1.on.aws")

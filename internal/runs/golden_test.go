@@ -8,6 +8,9 @@ import (
 // The committed golden archive under testdata/golden is the `make gate`
 // baseline: scfpipe -seed 1 -scale 0.01 -workers 4 -chaos none -skip-c2.
 // Regenerate it by re-running that command and copying .runs/<id>/ over.
+// testdata/golden-chaos is the same configuration with -chaos heavy, gated
+// with -no-calibration, and is regenerated the same way. Neither copy keeps
+// the checkpoints/ directory.
 
 func TestGoldenSelfGateIsClean(t *testing.T) {
 	rec, err := Read(filepath.Join("testdata", "golden"))
@@ -21,7 +24,43 @@ func TestGoldenSelfGateIsClean(t *testing.T) {
 }
 
 func TestGoldenShape(t *testing.T) {
-	rec, err := Read(filepath.Join("testdata", "golden"))
+	rec := readGoldenArchive(t, "golden")
+	// Every calibration share the golden run measured must sit inside the
+	// paper band its gate enforces — otherwise make gate would fail fresh
+	// checkouts. skip-c2 runs still measure all ten shares.
+	for _, tg := range PaperTargets {
+		v, ok := rec.Summary.Calibration[tg.Name]
+		if !ok {
+			t.Fatalf("golden calibration missing %s", tg.Name)
+		}
+		if !tg.Contains(v) {
+			t.Fatalf("golden %s = %.4f outside band [%.4f, %.4f]", tg.Name, v, tg.Lo, tg.Hi)
+		}
+	}
+	if len(rec.Timings.Stages) == 0 || rec.Timings.Stage("probe") == nil {
+		t.Fatalf("golden timings missing stages: %+v", rec.Timings.Stages)
+	}
+}
+
+// TestGoldenChaosShape: the chaos-heavy baseline must be as self-consistent
+// as the clean one, and must actually have absorbed faults.
+func TestGoldenChaosShape(t *testing.T) {
+	rec := readGoldenArchive(t, "golden-chaos")
+	if len(rec.Summary.Degradations) == 0 {
+		t.Fatal("chaos golden records no degradations")
+	}
+	opts := DefaultGateOptions()
+	opts.Calibration = false // make gate's -no-calibration for this cell
+	if v := Diff(rec, rec).Gate(opts); len(v) != 0 {
+		t.Fatalf("chaos golden must gate clean against itself: %v", v)
+	}
+}
+
+// readGoldenArchive reads testdata/<name> and checks the identity and
+// fingerprint invariants every committed baseline must hold.
+func readGoldenArchive(t *testing.T, name string) *Record {
+	t.Helper()
+	rec, err := Read(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +83,5 @@ func TestGoldenShape(t *testing.T) {
 			t.Fatalf("artifact %s content does not match its fingerprint", name)
 		}
 	}
-	// Every calibration share the golden run measured must sit inside the
-	// paper band its gate enforces — otherwise make gate would fail fresh
-	// checkouts. skip-c2 runs still measure all ten shares.
-	for _, tg := range PaperTargets {
-		v, ok := rec.Summary.Calibration[tg.Name]
-		if !ok {
-			t.Fatalf("golden calibration missing %s", tg.Name)
-		}
-		if !tg.Contains(v) {
-			t.Fatalf("golden %s = %.4f outside band [%.4f, %.4f]", tg.Name, v, tg.Lo, tg.Hi)
-		}
-	}
-	if len(rec.Timings.Stages) == 0 || rec.Timings.Stage("probe") == nil {
-		t.Fatalf("golden timings missing stages: %+v", rec.Timings.Stages)
-	}
+	return rec
 }

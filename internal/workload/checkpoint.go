@@ -57,10 +57,11 @@ type emitShardState struct {
 	flush    func() error // drains the pending batch; nil until registered
 }
 
-// emitCoord coordinates checkpoint-aware parallel emission: per-shard
-// function-granularity locking, a global row counter, and the snapshot
-// rendezvous. Lock order is snapMu, then shard locks ascending; workers
-// only ever take their own shard lock, so the rendezvous cannot deadlock.
+// emitCoord coordinates parallel emission — every internal emission, with
+// or without a checkpoint: per-shard function-granularity locking, a global
+// row counter, and the snapshot rendezvous. Lock order is snapMu, then
+// shard locks ascending; workers only ever take their own shard lock, so
+// the rendezvous cannot deadlock.
 type emitCoord struct {
 	ck      *EmitCheckpoint
 	aggs    []*pdns.Aggregator
