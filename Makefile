@@ -12,9 +12,10 @@ test:
 
 # Race-run the packages with lock-free hot paths and shared counters,
 # including the parallel substrate (emission workers, shard aggregators),
-# the SLO health monitor, and the stage-boundary profile capturer.
+# the SLO health monitor, the stage-boundary profile capturer, and the
+# in-memory edge's conn pair.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/runs/... ./internal/probe/... ./internal/dnssim/... ./internal/pdns/... ./internal/workload/... ./internal/fault/... ./internal/checkpoint/... ./internal/health/... ./internal/prof/...
+	$(GO) test -race ./internal/obs/... ./internal/runs/... ./internal/probe/... ./internal/faas/... ./internal/dnssim/... ./internal/pdns/... ./internal/workload/... ./internal/fault/... ./internal/checkpoint/... ./internal/health/... ./internal/prof/...
 
 vet:
 	$(GO) vet ./...
@@ -93,6 +94,8 @@ timeline:
 # internal/runs/testdata/golden-chaos (captured the same way). Heavy chaos
 # moves https_share and unreachable_share outside the paper bands by design,
 # so that cell gates fingerprints and degradations with calibration off.
+# A third cell runs the clean configuration with the C2 sweep on against
+# internal/runs/testdata/golden-c2, calibration on.
 gate: test
 	$(GO) run ./cmd/scfpipe -seed 1 -scale 0.01 -workers 4 -chaos none -skip-c2 \
 		-run-dir .runs > /dev/null
@@ -101,6 +104,9 @@ gate: test
 		-run-dir .runs > /dev/null
 	$(GO) run ./cmd/scfruns gate -dir .runs -baseline internal/runs/testdata/golden-chaos -wall-tol 3 \
 		-no-calibration -quiet
+	$(GO) run ./cmd/scfpipe -seed 1 -scale 0.01 -workers 4 -chaos none \
+		-run-dir .runs > /dev/null
+	$(GO) run ./cmd/scfruns gate -dir .runs -baseline internal/runs/testdata/golden-c2 -wall-tol 3 -quiet
 
 # SLO health check: run the golden configuration with the streaming health
 # monitor in strict mode. Exits non-zero if any rule fires (per-provider

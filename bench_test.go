@@ -12,10 +12,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log"
 	"math/rand"
 	"net"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -770,48 +768,28 @@ func BenchmarkGeneratePDNSFacade(b *testing.B) {
 
 // ---- helpers ----
 
-type edgeServers struct {
-	plainAddr, tlsAddr string
-	closeFns           []func()
-}
-
-func (e *edgeServers) Close() {
-	for _, f := range e.closeFns {
-		f()
-	}
-}
-
-// liveEdge deploys the population on a fresh platform behind real HTTP and
-// HTTPS listeners, mirroring the pipeline's simulated cloud edge.
-func liveEdge(b *testing.B, pop *workload.Population) (*faas.Platform, *edgeServers) {
+// liveEdge deploys the population on a fresh platform behind the in-memory
+// edge the pipeline probes.
+func liveEdge(b *testing.B, pop *workload.Population) (*faas.Platform, *faas.Edge) {
 	b.Helper()
-	db := c2.DefaultDB()
 	platform := faas.NewPlatform()
-	workload.Deploy(pop, platform, db)
+	workload.Deploy(pop, platform, c2.DefaultDB())
 	gw := faas.NewGateway(platform)
 	gw.Clock = workload.DeployWindowClock()
 	gw.UnreachableDelay = 2 * time.Second
-	tlsSrv := httptest.NewUnstartedServer(gw)
-	// Chaos benchmarks abort TLS handshakes by design; keep the server's
-	// complaints out of the bench output.
-	tlsSrv.Config.ErrorLog = log.New(io.Discard, "", 0)
-	tlsSrv.StartTLS()
-	plainSrv := httptest.NewServer(gw)
-	e := &edgeServers{
-		plainAddr: strings.TrimPrefix(plainSrv.URL, "http://"),
-		tlsAddr:   strings.TrimPrefix(tlsSrv.URL, "https://"),
-		closeFns:  []func(){tlsSrv.Close, plainSrv.Close},
+	e, err := faas.StartEdge(gw)
+	if err != nil {
+		b.Fatal(err)
 	}
 	return platform, e
 }
 
-func dialBoth(e *edgeServers) func(ctx context.Context, network, addr string) (net.Conn, error) {
-	return func(ctx context.Context, network, addr string) (net.Conn, error) {
-		var d net.Dialer
+func dialBoth(e *faas.Edge) func(ctx context.Context, network, addr string) (net.Conn, error) {
+	return func(ctx context.Context, _, addr string) (net.Conn, error) {
 		if strings.HasSuffix(addr, ":443") {
-			return d.DialContext(ctx, network, e.tlsAddr)
+			return e.DialTLS(ctx)
 		}
-		return d.DialContext(ctx, network, e.plainAddr)
+		return e.DialPlain(ctx)
 	}
 }
 

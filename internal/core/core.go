@@ -500,7 +500,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		elog.EmitMetrics("final", reg)
 	}()
 
-	// ---- Substrate: population, DNS, platform, edge servers. ----
+	// ---- Substrate: population, DNS, platform, in-memory edge. ----
 	_, sp := startStage(ctx, "substrate")
 	pop := workload.Generate(workload.Config{Seed: cfg.Seed, Scale: cfg.Scale, CacheModel: cfg.CacheModel, Workers: cfg.Workers})
 	res.Population = pop
@@ -514,13 +514,13 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	gw.Instrument(reg)
 	gw.Clock = workload.DeployWindowClock()
 	gw.UnreachableDelay = 10 * cfg.ProbeTimeout
-	servers, err := startServers(gw)
+	edge, err := faas.StartEdge(gw)
 	if err != nil {
 		sp.SetError(err)
 		sp.End()
 		return nil, err
 	}
-	defer servers.Close()
+	defer edge.Close()
 	sp.SetAttr("functions", len(pop.Functions))
 	sp.End()
 	// The substrate is regenerated from the seed on every invocation
@@ -605,7 +605,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		sp.SetAttr("resumed", true)
 		sp.SetAttr("reachable", res.ProbeStats.Reachable)
 		sp.End()
-	} else if err := runProbeStage(sctx, sp, cfg, res, pop, targets, resolver, servers, injector, reg); err != nil {
+	} else if err := runProbeStage(sctx, sp, cfg, res, pop, targets, resolver, edge, injector, reg); err != nil {
 		return res, err
 	}
 	mgr.StageDone("probe", nil, &checkpoint.ProbeState{Results: res.ProbeResults, Stats: res.ProbeStats})
@@ -718,7 +718,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			}
 		}
 		cctx, csp := obs.StartSpan(sctx, "c2-sweep")
-		res.C2Detections = scanC2(cctx, cfg, servers, db, reg, c2Targets)
+		res.C2Detections = scanC2(cctx, cfg, edge, db, reg, c2Targets)
 		csp.SetAttr("targets", len(c2Targets))
 		csp.SetAttr("detections", len(res.C2Detections))
 		csp.SetError(cctx.Err())
@@ -775,13 +775,24 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 // runProbeStage executes the active-probing sweep (§3.3) into res. It owns
 // the stage span's closure; a cancelled context is returned as the stage
 // error after the span ends.
-func runProbeStage(sctx context.Context, sp *obs.Span, cfg Config, res *Results, pop *workload.Population, targets []string, resolver *dnssim.Resolver, servers *gatewayServers, injector *fault.Injector, reg *obs.Registry) error {
-	httpOnly := map[string]bool{}
-	for _, f := range pop.Functions {
-		if f.HTTPOnly {
-			httpOnly[f.FQDN] = true
-		}
+func runProbeStage(sctx context.Context, sp *obs.Span, cfg Config, res *Results, pop *workload.Population, targets []string, resolver *dnssim.Resolver, edge *faas.Edge, injector *fault.Injector, reg *obs.Registry) error {
+	prober := probe.New(probeConfig(cfg, pop, resolver, edge, injector, reg))
+	res.ProbeResults = prober.ProbeAll(sctx, targets)
+	res.ProbeStats = prober.Stats()
+	sp.SetAttr("targets", len(targets))
+	sp.SetAttr("reachable", res.ProbeStats.Reachable)
+	sp.SetError(sctx.Err())
+	sp.End()
+	if err := sctx.Err(); err != nil {
+		return fmt.Errorf("core: probe sweep aborted: %w", err)
 	}
+	return nil
+}
+
+// probeConfig configures the probe stage's prober: DNS through the
+// simulated resolver, connections to the in-memory edge, both through the
+// chaos layer.
+func probeConfig(cfg Config, pop *workload.Population, resolver *dnssim.Resolver, edge *faas.Edge, injector *fault.Injector, reg *obs.Registry) probe.Config {
 	var breaker probe.Breaker
 	if cfg.BreakerThreshold > 0 {
 		br := fault.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
@@ -789,7 +800,7 @@ func runProbeStage(sctx context.Context, sp *obs.Span, cfg Config, res *Results,
 		breaker = br
 	}
 	matcher := providers.NewMatcher(nil)
-	prober := probe.New(probe.Config{
+	return probe.Config{
 		Timeout:      cfg.ProbeTimeout,
 		Concurrency:  cfg.ProbeConcurrency,
 		Retries:      cfg.ProbeRetries,
@@ -815,18 +826,19 @@ func runProbeStage(sctx context.Context, sp *obs.Span, cfg Config, res *Results,
 			_, err := resolver.Resolve(fqdn, rng)
 			return err
 		}),
-		DialContext: injector.WrapDial(simDialer(servers, httpOnly)),
-	})
-	res.ProbeResults = prober.ProbeAll(sctx, targets)
-	res.ProbeStats = prober.Stats()
-	sp.SetAttr("targets", len(targets))
-	sp.SetAttr("reachable", res.ProbeStats.Reachable)
-	sp.SetError(sctx.Err())
-	sp.End()
-	if err := sctx.Err(); err != nil {
-		return fmt.Errorf("core: probe sweep aborted: %w", err)
+		DialContext: injector.WrapDial(simDialer(edge, httpOnlyFQDNs(pop))),
 	}
-	return nil
+}
+
+// httpOnlyFQDNs is the set of functions that serve no TLS.
+func httpOnlyFQDNs(pop *workload.Population) map[string]bool {
+	httpOnly := map[string]bool{}
+	for _, f := range pop.Functions {
+		if f.HTTPOnly {
+			httpOnly[f.FQDN] = true
+		}
+	}
+	return httpOnly
 }
 
 // degradationMetrics maps the resilience counters to (stage, kind) rows;
@@ -923,13 +935,12 @@ func clusterByType(docs []string, types []content.Type, cfg Config) map[content.
 // scanC2 sweeps every target with the fingerprint scanner through the plain
 // edge listener, bounded by cfg.C2Concurrency. A cancelled ctx stops
 // scheduling new hosts and aborts in-flight scans.
-func scanC2(ctx context.Context, cfg Config, servers *gatewayServers, db *c2.DB, reg *obs.Registry, targets []string) []c2.Detection {
+func scanC2(ctx context.Context, cfg Config, edge *faas.Edge, db *c2.DB, reg *obs.Registry, targets []string) []c2.Detection {
 	scanner := c2.NewScanner(db)
 	scanner.Instrument(reg)
 	scanner.Timeout = cfg.C2Timeout
-	scanner.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, network, servers.plainAddr)
+	scanner.Dial = func(ctx context.Context, _, _ string) (net.Conn, error) {
+		return edge.DialPlain(ctx)
 	}
 	var (
 		mu  sync.Mutex
@@ -960,23 +971,20 @@ func scanC2(ctx context.Context, cfg Config, servers *gatewayServers, db *c2.DB,
 
 // simDialer routes the prober at the simulated edge: port 443 to the TLS
 // listener, everything else to the plain listener. HTTP-only functions
-// refuse TLS, and unknown ports refuse outright.
-func simDialer(servers *gatewayServers, httpOnly map[string]bool) func(ctx context.Context, network, addr string) (net.Conn, error) {
+// refuse TLS.
+func simDialer(edge *faas.Edge, httpOnly map[string]bool) func(ctx context.Context, network, addr string) (net.Conn, error) {
 	return func(ctx context.Context, network, addr string) (net.Conn, error) {
 		host, port, err := net.SplitHostPort(addr)
 		if err != nil {
 			return nil, err
 		}
-		var d net.Dialer
-		switch port {
-		case "443":
-			if httpOnly[strings.ToLower(host)] {
-				return nil, fmt.Errorf("connection refused (no TLS listener for %s)", host)
-			}
-			return d.DialContext(ctx, network, servers.tlsAddr)
-		default:
-			return d.DialContext(ctx, network, servers.plainAddr)
+		if port != "443" {
+			return edge.DialPlain(ctx)
 		}
+		if httpOnly[strings.ToLower(host)] {
+			return nil, fmt.Errorf("connection refused (no TLS listener for %s)", host)
+		}
+		return edge.DialTLS(ctx)
 	}
 }
 

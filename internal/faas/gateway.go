@@ -19,29 +19,31 @@ import (
 // Provider-specific edge semantics are reproduced here:
 //   - unknown or deleted functions: 404 Not Found, except AWS, whose edge
 //     answers 403 Forbidden (paper §4.4);
-//   - internal-only functions: the gateway stalls until UnreachableDelay so
-//     clients observe a timeout;
+//   - internal-only functions: the gateway holds the connection for
+//     UnreachableDelay so clients observe a timeout (see hold);
 //   - IAM-protected functions: 401 from the platform.
 type Gateway struct {
 	Platform *Platform
 	// Clock supplies the simulated invocation time; defaults to time.Now.
 	Clock func() time.Time
-	// UnreachableDelay is how long internal-only functions stall before the
-	// gateway gives up the connection. Tests shrink this.
+	// UnreachableDelay is how long internal-only functions hold the
+	// connection before the gateway answers 504. Tests shrink this.
 	UnreachableDelay time.Duration
 
 	matcher *providers.Matcher
 
 	// Telemetry; populated by Instrument, no-ops otherwise.
-	mRequests *obs.Counter  // gateway_requests_total
-	mStatus   *obs.Registry // gateway_responses_{1xx..5xx}_total
+	mRequests *obs.Counter    // gateway_requests_total
+	mStatus   [5]*obs.Counter // gateway_responses_{1xx..5xx}_total
 }
 
 // Instrument points the gateway's telemetry at reg (and the platform's, for
 // cold/warm start counters). A nil registry leaves both un-instrumented.
 func (g *Gateway) Instrument(reg *obs.Registry) {
 	g.mRequests = reg.Counter("gateway_requests_total")
-	g.mStatus = reg
+	for i := range g.mStatus {
+		g.mStatus[i] = reg.Counter(fmt.Sprintf("gateway_responses_%dxx_total", i+1))
+	}
 	if g.Platform != nil {
 		g.Platform.Instrument(reg)
 	}
@@ -81,8 +83,8 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w}
 	w = sw
 	defer func() {
-		if sw.status != 0 {
-			g.mStatus.Counter(fmt.Sprintf("gateway_responses_%dxx_total", sw.status/100)).Inc()
+		if i := sw.status/100 - 1; i >= 0 && i < len(g.mStatus) {
+			g.mStatus[i].Inc()
 		}
 	}()
 	host := r.Host
@@ -109,12 +111,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(resp.Status)
 		w.Write(resp.Body)
 	case errors.Is(err, ErrTimeout):
-		// Internal-only: hold the connection so the client times out.
-		select {
-		case <-r.Context().Done():
-		case <-time.After(g.UnreachableDelay):
+		// Internal-only: hold the connection so the client times out. A
+		// client that gave up gets nothing, not even a late 504 its
+		// transport could still deliver as the result.
+		if !g.hold(r) {
+			panic(http.ErrAbortHandler)
 		}
-		// If the client is somehow still here, drop with a gateway error.
 		w.WriteHeader(http.StatusGatewayTimeout)
 	case errors.Is(err, ErrTooManyRequests):
 		w.Header().Set("Content-Type", "application/json")
@@ -124,6 +126,27 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.writeMissing(w, host)
 	default:
 		w.WriteHeader(http.StatusInternalServerError)
+	}
+}
+
+// hold keeps an internal-only request open for UnreachableDelay and reports
+// whether the client is still connected at the end of it. Over the
+// in-memory edge the conn decides at once: a client whose read deadline
+// falls within the delay would time out before the gateway answers, so its
+// deadline fires now instead of after a sleep. A client without such a
+// deadline, or on a kernel socket, is waited out on the wall clock.
+func (g *Gateway) hold(r *http.Request) bool {
+	ctx := r.Context()
+	if c, ok := ctx.Value(edgeConnKey{}).(*edgeConn); ok && c.expirePeer(g.UnreachableDelay) {
+		return false
+	}
+	t := time.NewTimer(g.UnreachableDelay)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return ctx.Err() == nil
 	}
 }
 

@@ -91,9 +91,13 @@ func DefaultRules(probeTimeout time.Duration) []Rule {
 			Max: 0.02, MinSamples: 50,
 		},
 		{
-			// Probe p99 per provider. Timeouts clamp request latency at the
-			// configured probe timeout, so 3x timeout only trips if the
-			// latency distribution escapes the ceiling entirely.
+			// Probe p99 per provider. A held request ends as soon as its
+			// deadline fires over the in-memory edge, so it shows up in
+			// probe_request_seconds in milliseconds and probe_timeouts_total
+			// is what counts it; this rule sees ordinary requests. On a
+			// kernel socket a timeout clamps request latency at the probe
+			// timeout, so 3x timeout only trips if the latency distribution
+			// escapes the ceiling entirely.
 			Name:   "probe-p99-latency",
 			Metric: "probe_request_seconds",
 			Per:    "provider", Quantile: 0.99,

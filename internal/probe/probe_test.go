@@ -2,6 +2,7 @@ package probe
 
 import (
 	"context"
+	"crypto/tls"
 	"errors"
 	"net"
 	"net/http"
@@ -60,6 +61,29 @@ func TestProbeHTTPSPreferred(t *testing.T) {
 	}
 	if string(res.Body) != `{"ok":true}` {
 		t.Errorf("body = %q", res.Body)
+	}
+}
+
+// TestSimulationOffersP256Only pins the simulation's key exchange: with a
+// custom dialer and relaxed verification the prober offers P-256 alone.
+// X25519 doubles the probe sweep's CPU under -race, and the crash matrix's
+// determinism rests on every ordinary request beating its probe timeout.
+func TestSimulationOffersP256Only(t *testing.T) {
+	var offered []tls.CurveID
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	srv.TLS = &tls.Config{GetConfigForClient: func(hello *tls.ClientHelloInfo) (*tls.Config, error) {
+		offered = hello.SupportedCurves
+		return nil, nil
+	}}
+	srv.StartTLS()
+	defer srv.Close()
+	addr := strings.TrimPrefix(srv.URL, "https://")
+	res := New(Config{DialContext: dialTo(addr), Timeout: 2 * time.Second}).Probe(context.Background(), "f.lambda-url.us-east-1.on.aws")
+	if !res.Reachable || !res.HTTPS {
+		t.Fatalf("result = %+v", res)
+	}
+	if len(offered) != 1 || offered[0] != tls.CurveP256 {
+		t.Errorf("offered key-exchange groups %v, want [P-256]", offered)
 	}
 }
 

@@ -3,11 +3,16 @@ package probe
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"net/url"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -243,5 +248,32 @@ func TestClassifyInjectedErrors(t *testing.T) {
 	}
 	if !strings.Contains(string(FailBreaker), "breaker") {
 		t.Errorf("FailBreaker = %q", FailBreaker)
+	}
+}
+
+// TestClassifyErrorIdentity: timeouts are recognised by identity through
+// any wrapping. A read deadline prints as "i/o timeout", and under the
+// transport's %w wrap url.Error.Timeout no longer reports it; read as a
+// string it would land in FailConn and put the target on the C2 list.
+func TestClassifyErrorIdentity(t *testing.T) {
+	urlErr := func(err error) error { return &url.Error{Op: "Get", URL: "https://x/", Err: err} }
+	cases := []struct {
+		name string
+		err  error
+		want FailureReason
+	}{
+		{"wrapped read deadline", urlErr(fmt.Errorf("net/http: HTTP/1.x transport connection broken: %w", os.ErrDeadlineExceeded)), FailTimeout},
+		{"wrapped context deadline", urlErr(fmt.Errorf("dial: %w", context.DeadlineExceeded)), FailTimeout},
+		{"net.Error timeout", &net.OpError{Op: "read", Net: "tcp", Err: os.ErrDeadlineExceeded}, FailTimeout},
+		{"EOF", urlErr(io.EOF), FailConn},
+		{"reset", urlErr(&net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}), FailConn},
+		{"cancelled", urlErr(context.Canceled), FailConn},
+		{"no such host", urlErr(&net.OpError{Op: "dial", Net: "tcp", Err: &net.DNSError{Err: "no such host", Name: "x", IsNotFound: true}}), FailDNS},
+		{"nil", nil, FailConn},
+	}
+	for _, c := range cases {
+		if got := classifyError(c.err); got != c.want {
+			t.Errorf("%s: classifyError(%v) = %q, want %q", c.name, c.err, got, c.want)
+		}
 	}
 }

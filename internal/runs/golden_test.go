@@ -9,8 +9,9 @@ import (
 // baseline: scfpipe -seed 1 -scale 0.01 -workers 4 -chaos none -skip-c2.
 // Regenerate it by re-running that command and copying .runs/<id>/ over.
 // testdata/golden-chaos is the same configuration with -chaos heavy, gated
-// with -no-calibration, and is regenerated the same way. Neither copy keeps
-// the checkpoints/ directory.
+// with -no-calibration, and testdata/golden-c2 is the clean configuration
+// with the C2 sweep on (no -skip-c2), gated with calibration. Both are
+// regenerated the same way. No copy keeps the checkpoints/ directory.
 
 func TestGoldenSelfGateIsClean(t *testing.T) {
 	rec, err := Read(filepath.Join("testdata", "golden"))
@@ -53,6 +54,23 @@ func TestGoldenChaosShape(t *testing.T) {
 	opts.Calibration = false // make gate's -no-calibration for this cell
 	if v := Diff(rec, rec).Gate(opts); len(v) != 0 {
 		t.Fatalf("chaos golden must gate clean against itself: %v", v)
+	}
+}
+
+// TestGoldenC2Shape: the C2-on baseline holds every paper band, as its
+// calibrated gate cell requires, and actually swept for C2 relays.
+func TestGoldenC2Shape(t *testing.T) {
+	rec := readGoldenArchive(t, "golden-c2")
+	if rec.Summary.Meta["skip_c2_scan"] != "false" {
+		t.Fatalf("C2 golden was captured with skip_c2_scan=%q", rec.Summary.Meta["skip_c2_scan"])
+	}
+	for _, tg := range PaperTargets {
+		if v := rec.Summary.Calibration[tg.Name]; !tg.Contains(v) {
+			t.Fatalf("C2 golden %s = %.4f outside band [%.4f, %.4f]", tg.Name, v, tg.Lo, tg.Hi)
+		}
+	}
+	if v := Diff(rec, rec).Gate(DefaultGateOptions()); len(v) != 0 {
+		t.Fatalf("C2 golden must gate clean against itself: %v", v)
 	}
 }
 
