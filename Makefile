@@ -12,8 +12,9 @@ test:
 
 # Race-run the packages with lock-free hot paths and shared counters,
 # including the parallel substrate (emission workers, shard aggregators),
-# the SLO health monitor, the stage-boundary profile capturer, and the
-# in-memory edge's conn pair.
+# the run observer (internal/obs/timeline: health, resources and timeline
+# windows on one sampling goroutine, with its fake-clock tests), the
+# stage-boundary profile capturer, and the in-memory edge's conn pair.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/runs/... ./internal/probe/... ./internal/faas/... ./internal/dnssim/... ./internal/pdns/... ./internal/workload/... ./internal/fault/... ./internal/checkpoint/... ./internal/health/... ./internal/prof/...
 
@@ -50,7 +51,7 @@ bench-json:
 		-history BENCH_history.jsonl -label "$$(git rev-parse --short HEAD 2>/dev/null || echo local)"
 
 # Scenario benchmark matrix: run the default {scale}×{workers}×{chaos} sweep
-# through the full pipeline with the resource sampler on, one archive per
+# through the full pipeline with observer sampling on, one archive per
 # cell under .runs/matrix/<cell-id>/. `make report` then renders the matrix,
 # the bench capture, and the committed trajectory into PERF_REPORT.md —
 # byte-identical across renders over the same archives.
@@ -73,17 +74,20 @@ prof:
 	$(GO) run ./cmd/scfruns prof show -dir .runs -o PROF_HOTSPOTS.md r-3ed4ac535b0d
 	@cat PROF_HOTSPOTS.md
 
-# Telemetry timeline pass: run the golden configuration with the windowed
-# recorder on (the timeline lands on the archive's machine-varying side, so
+# Telemetry timeline pass: run the golden configuration with observer
+# sampling on (the timeline lands on the archive's machine-varying side, so
 # the run ID and every deterministic fingerprint are unchanged and this
 # shares the gate's .runs slot), then render the deterministic timeline
-# table — window deltas, anomaly annotations, health breaches — into
-# TIMELINE.md. A clean golden run annotates zero anomalies.
+# table — window deltas, heap readings, anomaly annotations, health
+# breaches — into TIMELINE.md. A clean golden run annotates zero anomalies
+# and zero breaches; the target fails if its header says otherwise.
 timeline:
 	$(GO) run ./cmd/scfpipe -seed 1 -scale 0.01 -workers 4 -chaos none -skip-c2 \
-		-timeline-interval 250ms -run-dir .runs > /dev/null
+		-sample-interval 250ms -run-dir .runs > /dev/null
 	$(GO) run ./cmd/scfruns timeline -dir .runs -o TIMELINE.md r-3ed4ac535b0d
 	@cat TIMELINE.md
+	@grep -q ' — 0 anomaly annotation(s), 0 health breach(es)\.$$' TIMELINE.md \
+		|| { echo "timeline: the clean golden run must annotate 0 anomalies and 0 health breaches" >&2; exit 1; }
 
 # Regression gate: archive a fresh run of the golden configuration and diff
 # it against the committed baseline (internal/runs/testdata/golden). The

@@ -11,7 +11,6 @@
 //	scfpipe -manifest run.json               # machine-readable run provenance
 //	scfpipe -chaos heavy                     # deterministic fault injection
 //	scfpipe -chaos light,seed=7 -probe-retries 3
-//	scfpipe -resource-interval 250ms         # sample heap/RSS/goroutines/GC per stage
 //	scfpipe -run-dir .runs                   # archive the run for scfruns
 //	scfpipe -no-archive                      # skip the run archive
 //	scfpipe -health-strict                   # exit 1 if an SLO health rule fires
@@ -19,7 +18,7 @@
 //	scfpipe -resume                          # resume an interrupted run
 //	scfpipe -chaos crash=probe               # seeded crash injection (testing)
 //	scfpipe -profile                         # archive per-stage pprof profiles
-//	scfpipe -timeline-interval 250ms         # windowed telemetry + anomaly markers
+//	scfpipe -sample-interval 250ms           # timeline windows + per-stage resources
 //
 // With -chaos the run injects a seeded, reproducible fault schedule (DNS
 // failures, connection resets, flapping and truncating endpoints, latency
@@ -28,8 +27,9 @@
 //
 // Every run evaluates the default SLO health rules (per-provider probe error
 // rate and p99 latency, breaker opens, feed drop/quarantine rates) over
-// rolling windows while it executes; firings land in the event log as
-// "health" events and the final per-provider health table prints after the
+// rolling windows while it executes — every 500ms, or every
+// -sample-interval when set; firings land in the event log as "health"
+// events and the final per-provider health table prints after the
 // degradation report. -health-strict turns any firing into a non-zero exit.
 //
 // With -metrics-addr the run serves live introspection while it executes:
@@ -70,15 +70,18 @@
 // run ID or any artifact fingerprint. Inspect them with
 // `scfruns prof show|diff`.
 //
-// With -timeline-interval the run captures a windowed telemetry timeline:
-// every interval, the metric registry's per-window deltas (counters, labeled
-// vectors, histogram window quantiles), gauge last-values, health breaches,
-// resource high-water marks, and seeded-deterministic anomaly annotations
-// (error-class activations and EWMA drift) land as one window record. The
-// timeline is archived as timeline.jsonl on the machine-varying side —
-// enabling it never moves the run ID or an artifact fingerprint — and, when
-// -metrics-addr is set, streams live to the /dash dashboard over SSE.
-// Inspect archived timelines with `scfruns timeline`.
+// With -sample-interval the run's observer samples on that interval, and
+// each sample does three jobs at once: the health rules above, per-stage
+// runtime resource high-water marks (heap, RSS, goroutines, GC pauses), and
+// one telemetry timeline window — the metric registry's per-window deltas
+// (counters, labeled vectors, histogram window quantiles), gauge
+// last-values, the health breaches that sample fired, its resource reading,
+// and seeded-deterministic anomaly annotations (error-class activations and
+// EWMA drift). The timeline is archived as timeline.jsonl and the resource
+// table in timings.json, both on the machine-varying side — enabling
+// sampling never moves the run ID or an artifact fingerprint — and, when
+// -metrics-addr is set, the windows stream live to the /dash dashboard
+// over SSE. Inspect archived timelines with `scfruns timeline`.
 package main
 
 import (
@@ -116,13 +119,12 @@ func main() {
 		chaos        = flag.String("chaos", "", "fault-injection profile: none, light, or heavy, optionally ,seed=N (default: $SCF_CHAOS or none)")
 		retries      = flag.Int("probe-retries", 0, "extra probe attempts per scheme after connection failures (0 = auto: 2 under chaos; negative = off)")
 		breaker      = flag.Int("breaker-threshold", 0, "consecutive failures opening a provider's probe circuit (0 = auto: 50 under chaos; negative = off)")
-		resInterval  = flag.Duration("resource-interval", 0, "sample runtime resources (heap, RSS, goroutines, GC pauses) on this interval; 0 disables")
+		sampleEvery  = flag.Duration("sample-interval", 0, "sample the run on this interval: per-stage runtime resources (heap, RSS, goroutines, GC pauses) and windowed telemetry (metric deltas, anomaly annotations, health breaches) into timeline.jsonl; 0 evaluates health only, every 500ms")
 		runDir       = flag.String("run-dir", "", "archive the run under this directory (default: $SCF_RUN_DIR or .runs)")
 		noArchive    = flag.Bool("no-archive", false, "do not archive the run")
 		healthStrict = flag.Bool("health-strict", false, "exit non-zero when any SLO health rule fired during the run")
 		ckptEvery    = flag.Int64("checkpoint-interval", 250000, "also checkpoint every N emitted PDNS rows (0 = stage boundaries only; negative = disable checkpointing)")
 		resume       = flag.Bool("resume", false, "resume the interrupted run with this configuration from its newest checkpoint")
-		tlInterval   = flag.Duration("timeline-interval", 0, "capture windowed telemetry (metric deltas, anomaly annotations, breaches, resource peaks) on this interval into timeline.jsonl; 0 disables")
 		profile      = flag.Bool("profile", false, "record per-stage pprof profiles (CPU with stage/shard labels, heap/allocs/block/mutex at stage boundaries) into the run archive's profiles/ directory")
 	)
 	flag.Parse()
@@ -169,14 +171,16 @@ func main() {
 		os.Exit(130)
 	}()
 
-	// The timeline recorder is created here, not inside core, so the /dash
-	// dashboard can subscribe to it before the pipeline starts; core adopts it
-	// via Config.Timeline and drives its lifecycle (start, stage annotations,
-	// breach folding, stop-and-collect).
-	tlRec := timeline.NewRecorder(metrics, timeline.Options{Interval: *tlInterval})
+	// The timeline stream is created here, not inside core, so the /dash
+	// dashboard can subscribe to it before the pipeline starts; the run's
+	// observer publishes each window into it via Config.Timeline.
+	var tl *timeline.Stream
+	if *sampleEvery > 0 {
+		tl = timeline.NewStream()
+	}
 
 	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, metrics, trace, events, timeline.DashMounts(tlRec)...)
+		srv, err := obs.Serve(*metricsAddr, metrics, trace, events, timeline.DashMounts(tl)...)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -196,12 +200,12 @@ func main() {
 		ProbeRetries:       *retries,
 		BreakerThreshold:   *breaker,
 		Metrics:            metrics,
-		ResourceInterval:   *resInterval,
+		SampleInterval:     *sampleEvery,
 		CheckpointDir:      ckptDir,
 		CheckpointInterval: *ckptEvery,
 		Resume:             *resume,
 		Profile:            *profile,
-		Timeline:           tlRec,
+		Timeline:           tl,
 	})
 	exitCode := 0
 	if res != nil && *manifest != "" {

@@ -37,7 +37,7 @@
 //
 // matrix executes the {scale}×{workers}×{chaos} scenario sweep through the
 // full pipeline, archiving each cell under <dir>/matrix/<cell-id>/ with the
-// resource sampler enabled; report renders the matrix, bench deltas, and
+// observer sampling on; report renders the matrix, bench deltas, and
 // the committed perf trajectory into one deterministic Markdown artifact —
 // two renders over identical archives are byte-identical. bench converts
 // `go test -bench` text into the structured JSON BENCH_pipeline.json holds
@@ -625,7 +625,7 @@ func cmdMatrix(args []string) error {
 		seed        = fs.Int64("seed", 1, "substrate seed shared by every cell")
 		skipC2      = fs.Bool("skip-c2", true, "skip the C2 fingerprint sweep in each cell")
 		timeout     = fs.Duration("probe-timeout", 2*time.Second, "per-request probe timeout")
-		resInterval = fs.Duration("resource-interval", 50*time.Millisecond, "runtime resource sampler interval (0 disables)")
+		sampleEvery = fs.Duration("sample-interval", 50*time.Millisecond, "observer sampling interval: per-stage resources and timeline windows (0 disables both)")
 	)
 	if err := parse(fs, args); err != nil {
 		return err
@@ -650,14 +650,14 @@ func cmdMatrix(args []string) error {
 		ctx := obs.ContextWithEventLog(obs.ContextWithTrace(context.Background(), tr), elog)
 		start := time.Now()
 		res, err := core.RunContext(ctx, core.Config{
-			Seed:             *seed,
-			Scale:            cell.Scale,
-			Workers:          cell.Workers,
-			Chaos:            chaosProf,
-			SkipC2Scan:       *skipC2,
-			ProbeTimeout:     *timeout,
-			Metrics:          reg,
-			ResourceInterval: *resInterval,
+			Seed:           *seed,
+			Scale:          cell.Scale,
+			Workers:        cell.Workers,
+			Chaos:          chaosProf,
+			SkipC2Scan:     *skipC2,
+			ProbeTimeout:   *timeout,
+			Metrics:        reg,
+			SampleInterval: *sampleEvery,
 		})
 		if err != nil {
 			return fmt.Errorf("matrix: cell %s: %w", cell.ID(), err)

@@ -165,7 +165,7 @@ func TestRunTimelineRenderDeterministic(t *testing.T) {
 	root := t.TempDir()
 	ws := []timeline.Window{
 		{Index: 0, StartUS: 0, EndUS: 250000, Stage: "probe", Stages: []string{"identify", "probe"},
-			Counters:  map[string]int64{"pdns_records_total": 120, "probe_requests_total": 40},
+			Counters:  map[string]int64{"pdns_records_scanned_total": 120, "probe_requests_total": 40},
 			Hists:     map[string]timeline.HistWindow{"probe_request_seconds": {Count: 40, P50: 0.01, P90: 0.04, P99: 0.09}},
 			Resources: &obs.ResourcePeaks{HeapInuseBytes: 3 << 20, Goroutines: 12}},
 		{Index: 1, StartUS: 250000, EndUS: 500000, Stage: "probe", Stages: []string{"probe"},
@@ -200,6 +200,7 @@ func TestRunTimelineRenderDeterministic(t *testing.T) {
 		"activation",
 		"probe_error_rate/aws",
 		"identify→probe",
+		"| 120 | 40 |", // records and probes columns of window 0
 	} {
 		if !strings.Contains(first, want) {
 			t.Fatalf("rendered timeline missing %q:\n%s", want, first)

@@ -117,40 +117,32 @@ type Config struct {
 	// Nil creates a private registry so manifests are always complete.
 	Metrics *obs.Registry
 
-	// ResourceInterval enables the runtime resource sampler: every interval
-	// the run snapshots heap in-use, cumulative allocations, GC pauses,
-	// goroutine count, and process RSS, publishing gauges, emitting
-	// EventResource records, and accumulating per-stage high-water marks
-	// into Results.Resources. Zero disables sampling. Deliberately NOT part
-	// of configMeta: sampling observes a run, it does not change one, so
-	// toggling it must not move the run ID or any golden fingerprint.
-	ResourceInterval time.Duration
+	// SampleInterval sets the run observer's sampling period. Every tick
+	// takes one registry snapshot and one runtime reading, and that one
+	// sample feeds three jobs: the SLO health rules, the per-stage resource
+	// high-water marks (Results.Resources, plus proc_* gauges and
+	// EventResource records), and one timeline window — registry deltas,
+	// per-window histogram quantiles, stage annotations, the health breaches
+	// that tick fired, the tick's resource reading, anomaly markers —
+	// appended to timeline.jsonl on the machine-varying side of the run
+	// archive. Zero keeps only the health job, every 500ms. Deliberately NOT
+	// part of configMeta: observing a run does not change it, so toggling
+	// sampling must not move the run ID or any golden fingerprint.
+	SampleInterval time.Duration
+	// Timeline, when non-nil, receives the run's timeline windows as they
+	// close — cmd/scfpipe creates it up front so the live /dash dashboard
+	// can subscribe before the run starts. The run closes it when it ends.
+	Timeline *timeline.Stream
 
 	// Profile enables the continuous-profiling capture manager: one CPU
 	// profile spans the whole run (samples attributed to stages and shards
 	// by runtime/pprof labels), and heap/allocs/block/mutex snapshots are
 	// taken at every stage boundary, all landing under profiles/ on the
-	// machine-varying side of the run archive. Like ResourceInterval it is
+	// machine-varying side of the run archive. Like SampleInterval it is
 	// deliberately NOT part of configMeta: profiling observes a run, it
 	// does not change one, so toggling it must not move the run ID or any
 	// golden fingerprint.
 	Profile bool
-
-	// TimelineInterval enables the windowed-telemetry recorder: every
-	// interval the run closes one timeline window — registry deltas,
-	// per-window histogram quantiles, stage annotations, health breaches,
-	// resource peaks, anomaly markers — appended to timeline.jsonl on the
-	// machine-varying side of the run archive (and streamed to /dash when
-	// the obs endpoint is up). Zero disables recording. Like
-	// ResourceInterval it is deliberately NOT part of configMeta: the
-	// timeline observes a run, it does not change one, so toggling it must
-	// not move the run ID or any golden fingerprint.
-	TimelineInterval time.Duration
-	// Timeline, when non-nil, is a pre-built recorder to use instead of
-	// constructing one from TimelineInterval — cmd/scfpipe creates it
-	// up front so the live dashboard can subscribe before the run starts.
-	// The run still owns its lifecycle (Start/Stop).
-	Timeline *timeline.Recorder
 
 	// CheckpointDir enables durable checkpointing: versioned snapshots of
 	// pipeline progress land under <dir>/<run-id>/checkpoints — written
@@ -159,7 +151,7 @@ type Config struct {
 	// cancellation only). Empty disables checkpointing entirely. Resume
 	// restores the newest valid checkpoint for this config's run ID and
 	// skips the covered work; it requires CheckpointDir. Like
-	// ResourceInterval, all three are deliberately NOT part of configMeta:
+	// SampleInterval, all three are deliberately NOT part of configMeta:
 	// they change how a run survives interruption, not what it measures, so
 	// toggling them must never move the run ID or any golden fingerprint —
 	// and the crashing and resuming invocations of one run must share an ID.
@@ -252,9 +244,9 @@ type Results struct {
 	// side of the run archive, never in the deterministic summary.
 	Health []health.Result
 
-	// Resources is the per-stage runtime high-water-mark table the resource
-	// sampler collected (empty when Config.ResourceInterval is zero). Also
-	// strictly machine-varying: archived in timings.json, never summary.
+	// Resources is the per-stage runtime high-water-mark table the observer
+	// collected (empty when Config.SampleInterval is zero). Also strictly
+	// machine-varying: archived in timings.json, never summary.
 	Resources []obs.ResourceStats
 
 	// Profiles is everything the continuous-profiling capturer recorded
@@ -268,11 +260,11 @@ type Results struct {
 	// whether a run was interrupted must never move a golden fingerprint.
 	Recovery *runs.RecoveryInfo
 
-	// Timeline is the run's windowed-telemetry sequence (empty unless
-	// Config.TimelineInterval or Config.Timeline): one window per interval
-	// with metric deltas, stage/health annotations, resource peaks, and
-	// anomaly markers. Machine-varying — archived as timeline.jsonl, never
-	// fingerprinted.
+	// Timeline is the run's windowed-telemetry sequence (empty when
+	// Config.SampleInterval is zero): one window per observer tick with
+	// metric deltas, stage/health annotations, the tick's resource reading,
+	// and anomaly markers. Machine-varying — archived as timeline.jsonl,
+	// never fingerprinted.
 	Timeline []timeline.Window
 
 	Elapsed time.Duration
@@ -317,46 +309,53 @@ func (r *Results) Manifest(tool string) *obs.Manifest {
 // Run executes the full pipeline with a background context.
 func Run(cfg Config) (*Results, error) { return RunContext(context.Background(), cfg) }
 
+// resolve applies the defaults and resolves the chaos profile: an unset
+// fault half defers to SCF_CHAOS (keeping any crash schedule the config
+// carries), and a profile without a pinned seed inherits the substrate seed
+// so fault schedules reproduce exactly like the population does.
+func (c Config) resolve() (Config, error) {
+	c = c.withDefaults()
+	if c.Resume && c.CheckpointDir == "" {
+		return c, fmt.Errorf("core: Resume requires CheckpointDir")
+	}
+	chaos, err := c.Chaos.OrEnv()
+	if err != nil {
+		return c, fmt.Errorf("core: %w", err)
+	}
+	c.Chaos = chaos.WithSeed(c.Seed)
+	enabled := c.Chaos.Enabled()
+	if enabled && c.ProbeRetries == 0 {
+		c.ProbeRetries = 2
+	}
+	if c.ProbeRetries < 0 {
+		c.ProbeRetries = 0
+	}
+	if c.ProbeRetryBackoff <= 0 {
+		c.ProbeRetryBackoff = c.ProbeTimeout / 20
+	}
+	if c.BreakerThreshold == 0 && enabled {
+		c.BreakerThreshold = 50
+	}
+	if c.BreakerCooldown <= 0 {
+		c.BreakerCooldown = 5 * c.ProbeTimeout
+	}
+	return c, nil
+}
+
 // RunContext executes the full pipeline under ctx. Cancelling the context
-// aborts the probe and C2 sweeps cleanly; the partial Results accumulated so
-// far are returned alongside the context error, with the cancellation
-// recorded on the interrupted stage's span, so a manifest can still be
-// written for an aborted run.
+// stops the run at the end of the stage it interrupts: the partial Results
+// accumulated so far are returned alongside the context error, wrapped as
+// "core: <stage>: ...", with the cancellation recorded on that stage's span
+// and no checkpoint written for it, so a manifest can still be written for
+// an aborted run.
 //
 // Every stage is traced: if ctx carries an obs.Trace the stage spans attach
 // there, otherwise a fresh trace is created. Either way the trace and the
 // metrics registry end up on the Results.
 func RunContext(ctx context.Context, cfg Config) (*Results, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Resume && cfg.CheckpointDir == "" {
-		return nil, fmt.Errorf("core: Resume requires CheckpointDir")
-	}
-	// Resolve the chaos profile: an unset profile defers to SCF_CHAOS, and
-	// a profile without a pinned seed inherits the substrate seed so fault
-	// schedules reproduce exactly like the population does.
-	if cfg.Chaos.IsZero() {
-		prof, err := fault.FromEnv()
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		cfg.Chaos = prof
-	}
-	cfg.Chaos = cfg.Chaos.WithSeed(cfg.Seed)
-	chaos := cfg.Chaos.Enabled()
-	if chaos && cfg.ProbeRetries == 0 {
-		cfg.ProbeRetries = 2
-	}
-	if cfg.ProbeRetries < 0 {
-		cfg.ProbeRetries = 0
-	}
-	if cfg.ProbeRetryBackoff <= 0 {
-		cfg.ProbeRetryBackoff = cfg.ProbeTimeout / 20
-	}
-	if cfg.BreakerThreshold == 0 && chaos {
-		cfg.BreakerThreshold = 50
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 5 * cfg.ProbeTimeout
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	res := &Results{Config: cfg}
@@ -419,58 +418,32 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		}
 	}
 
-	// The SLO monitor samples the registry on an interval for the whole run;
-	// Finalize adds the cumulative whole-run evaluation, so short runs are
-	// covered even when no sampling tick fires.
-	mon := health.NewMonitor(reg, elog, health.DefaultRules(cfg.ProbeTimeout))
-	mon.Start()
-	// The resource sampler runs for the whole pipeline alongside the SLO
-	// monitor; startStage tells it which stage each sample belongs to, so
-	// the archive can say "the heap peaked in identify, not probe". A zero
-	// interval yields the nil no-op sampler.
-	sampler := obs.NewResourceSampler(reg, elog, cfg.ResourceInterval)
-	sampler.Start()
-	// The timeline recorder windows the registry on its own clock for the
-	// whole run. Health firings are stamped with (and annotated onto) the
-	// window they happened in; resource peaks drain into each window. A
-	// nil recorder (interval 0, none pre-built) no-ops throughout.
-	rec := cfg.Timeline
-	if rec == nil {
-		rec = timeline.NewRecorder(reg, timeline.Options{Interval: cfg.TimelineInterval})
-	}
-	rec.SetPeakFn(sampler.TakePeaks)
-	if rec != nil {
-		mon.SetWindowIndex(rec.WindowIndex)
-		mon.SetOnFiring(func(hr health.Result) {
-			rec.NoteBreach(timeline.Breach{Rule: hr.Rule, Group: hr.Group, Value: hr.Value, Max: hr.Max})
-		})
-	}
-	rec.Start()
-	// The continuous-profiling capturer mirrors the sampler's lifecycle: it
-	// observes the run from the side, so a capture failure degrades to an
-	// event-log note, never a run error.
+	// ---- Observers. ----
+	// One sampling loop watches the whole run: every tick evaluates the SLO
+	// health rules and, with SampleInterval set, folds a resource reading
+	// into the current stage's marks and closes a timeline window. The
+	// profile capturer observes from the side too, so a capture failure
+	// degrades to an event-log note, never a run error.
+	observer := timeline.NewObserver(reg, timeline.Options{
+		Interval: cfg.SampleInterval,
+		Rules:    health.DefaultRules(cfg.ProbeTimeout),
+		Events:   elog,
+		Stream:   cfg.Timeline,
+	})
+	observer.Start()
 	capturer := prof.NewCapturer(cfg.Profile)
 	if perr := capturer.Start(); perr != nil {
 		elog.Emit(obs.EventNote, "profile-error", obs.Attr{Key: "detail", Value: perr.Error()})
 	}
-	startStage := func(ctx context.Context, name string) (context.Context, *obs.Span) {
-		// The seeded crashpoint fires here when it targets this boundary:
-		// the abort lands after the previous stage's checkpoint and before
-		// any of this stage's work, exactly like a power loss between them.
-		injector.CrashAtStage(name)
-		sampler.SetStage(name)
-		rec.SetStage(name)
-		capturer.StageBoundary(name)
-		// Stage attribution for CPU profiles rides on pprof labels: the
-		// orchestration goroutine is labeled here, and every goroutine a
-		// stage spawns (probe sweep, parallelFor, emission shards) inherits
-		// the label at spawn. Labels are set whether or not this run
-		// captures, so the live /debug/pprof endpoints see them too.
-		ctx = pprof.WithLabels(ctx, pprof.Labels("stage", name))
-		pprof.SetGoroutineLabels(ctx)
-		return obs.StartSpan(ctx, name)
-	}
+	p := &pipeline{cfg: cfg, res: res, reg: reg, injector: injector, mgr: mgr, resumed: resumed}
 	defer func() {
+		if p.edge != nil {
+			p.edge.Close()
+		}
+		rep := observer.Stop()
+		res.Timeline, res.Resources, res.Health = rep.Windows, rep.Resources, rep.Health
+		res.Profiles = capturer.Stop()
+		res.Stages = tr.Records()
 		if mgr != nil {
 			li := mgr.Info()
 			res.Recovery = &runs.RecoveryInfo{
@@ -478,18 +451,6 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 				Checkpoints: li.Writes, LastSeq: li.LastSeq, LastStage: li.LastStage,
 			}
 		}
-		res.Resources = sampler.Stop()
-		// The recorder stops after the sampler (so the final resource
-		// sample lands in the tail window) and before the health monitor
-		// finalizes (so post-run cumulative firings cannot be attributed
-		// to a window that no longer exists).
-		res.Timeline = rec.Stop()
-		res.Profiles = capturer.Stop()
-		// Drop this goroutine's stage label so a later run on the same
-		// goroutine (tests, the scenario matrix) starts unlabeled.
-		pprof.SetGoroutineLabels(context.Background())
-		res.Stages = tr.Records()
-		res.Health = mon.Finalize()
 		res.Degradations = collectDegradations(reg)
 		res.Elapsed = time.Since(start)
 		// Close the event log's story: what the run absorbed, then the
@@ -500,126 +461,233 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		elog.EmitMetrics("final", reg)
 	}()
 
-	// ---- Substrate: population, DNS, platform, in-memory edge. ----
-	_, sp := startStage(ctx, "substrate")
-	pop := workload.Generate(workload.Config{Seed: cfg.Seed, Scale: cfg.Scale, CacheModel: cfg.CacheModel, Workers: cfg.Workers})
-	res.Population = pop
-	resolver := dnssim.NewResolver()
-	resolver.Instrument(reg)
+	// ---- The stage loop: it alone owns the boundary protocol. ----
+	for _, st := range stages {
+		// Stage attribution for CPU profiles rides on pprof labels: the
+		// loop's goroutine carries the stage label for the whole boundary,
+		// every goroutine the stage spawns (probe sweep, parallelFor,
+		// emission shards) inherits it at spawn, and pprof.Do restores the
+		// caller's labels afterwards. Labels are set whether or not this run
+		// captures, so the live /debug/pprof endpoints see them too.
+		pprof.Do(ctx, pprof.Labels("stage", st.name), func(ctx context.Context) {
+			// The seeded crashpoint fires here when it targets this
+			// boundary: after the previous stage's checkpoint and before
+			// any of this stage's work, exactly like a power loss between
+			// them.
+			injector.CrashAtStage(st.name)
+			observer.SetStage(st.name)
+			capturer.StageBoundary(st.name)
+			sctx, sp := obs.StartSpan(ctx, st.name)
+			if st.restore != nil && resumed.HasStage(st.name) && st.restore(p, resumed) {
+				sp.SetAttr("resumed", true)
+			}
+			err = st.run(p, sctx, sp)
+			if cerr := ctx.Err(); cerr != nil {
+				err = cerr
+			}
+			sp.SetError(err)
+			sp.End()
+			if err != nil {
+				return
+			}
+			var agg *pdns.Aggregate
+			var probed *checkpoint.ProbeState
+			if st.save != nil {
+				agg, probed = st.save(p)
+			}
+			mgr.StageDone(st.name, agg, probed)
+		})
+		if err != nil {
+			return res, fmt.Errorf("core: %s: %w", st.name, err)
+		}
+	}
+	return res, nil
+}
 
-	db := c2.DefaultDB()
+// stage is one entry of the pipeline's stage table. The loop in RunContext
+// runs the entries in order and owns everything at their boundaries.
+type stage struct {
+	name string
+	// run does the stage's work on ctx and annotates sp. A cancelled ctx
+	// is the loop's to report, so run need not check it.
+	run func(p *pipeline, ctx context.Context, sp *obs.Span) error
+	// save returns what the stage's boundary checkpoint carries beyond the
+	// completed-stage ledger; nil for ledger-only stages.
+	save func(p *pipeline) (*pdns.Aggregate, *checkpoint.ProbeState)
+	// restore adopts a resumed checkpoint's copy of the stage's output and
+	// reports whether the checkpoint had one; run then derives only what
+	// the checkpoint does not carry. Nil for stages that recompute.
+	restore func(p *pipeline, s *checkpoint.Snapshot) bool
+}
+
+// stages is the paper's method as data: substrate, then identify (§3.2),
+// probe (§3.3), sanitise and cluster (§3.4), classify (§5), assess and
+// disclose (§5.5). Names and order match fault.Stages, the crashpoints.
+//
+// Only identify and probe checkpoint their output: the substrate is
+// regenerated from the seed (cheaper than serialising it), and the stages
+// after probe are cheap, deterministic recomputations of earlier state, so
+// a resume that lands past probe replays them.
+var stages = []stage{
+	{name: "substrate", run: (*pipeline).substrate},
+	{
+		name: "identify", run: (*pipeline).identify,
+		save: func(p *pipeline) (*pdns.Aggregate, *checkpoint.ProbeState) { return p.res.Aggregate, nil },
+		restore: func(p *pipeline, s *checkpoint.Snapshot) bool {
+			p.res.Aggregate = s.Aggregate
+			return s.Aggregate != nil
+		},
+	},
+	{
+		name: "probe", run: (*pipeline).probe,
+		save: func(p *pipeline) (*pdns.Aggregate, *checkpoint.ProbeState) {
+			return nil, &checkpoint.ProbeState{Results: p.res.ProbeResults, Stats: p.res.ProbeStats}
+		},
+		restore: func(p *pipeline, s *checkpoint.Snapshot) bool {
+			if s.Probe == nil {
+				return false
+			}
+			// Probe results (bodies included) ride in the checkpoint, so
+			// the content stages downstream see exactly what the crashed
+			// run saw.
+			p.res.ProbeResults, p.res.ProbeStats = s.Probe.Results, s.Probe.Stats
+			return true
+		},
+	},
+	{name: "sanitise", run: (*pipeline).sanitise},
+	{name: "cluster", run: (*pipeline).cluster},
+	{name: "classify", run: (*pipeline).classify},
+	{name: "assess", run: (*pipeline).assess},
+	{name: "disclosure", run: (*pipeline).disclosure},
+}
+
+// pipeline is one run's state between stages: the resolved config, the
+// substrate every stage reaches, the corpora one stage hands the next, and
+// the Results the stages fill in.
+type pipeline struct {
+	cfg      Config
+	res      *Results
+	reg      *obs.Registry
+	injector *fault.Injector
+	mgr      *checkpoint.Manager
+	resumed  *checkpoint.Snapshot
+
+	pop      *workload.Population
+	resolver *dnssim.Resolver
+	db       *c2.DB
+	edge     *faas.Edge
+	targets  []string
+
+	docs         []abuse.Document
+	contentDocs  []string
+	contentTypes []content.Type
+	requests     map[string]int64
+}
+
+// substrate builds the population, DNS, platform, and in-memory edge.
+func (p *pipeline) substrate(_ context.Context, sp *obs.Span) error {
+	cfg := p.cfg
+	p.pop = workload.Generate(workload.Config{Seed: cfg.Seed, Scale: cfg.Scale, CacheModel: cfg.CacheModel, Workers: cfg.Workers})
+	p.res.Population = p.pop
+	p.resolver = dnssim.NewResolver()
+	p.resolver.Instrument(p.reg)
+
+	p.db = c2.DefaultDB()
 	platform := faas.NewPlatform()
-	workload.Deploy(pop, platform, db)
+	workload.Deploy(p.pop, platform, p.db)
 	gw := faas.NewGateway(platform)
-	gw.Instrument(reg)
+	gw.Instrument(p.reg)
 	gw.Clock = workload.DeployWindowClock()
 	gw.UnreachableDelay = 10 * cfg.ProbeTimeout
 	edge, err := faas.StartEdge(gw)
 	if err != nil {
-		sp.SetError(err)
-		sp.End()
-		return nil, err
+		return err
 	}
-	defer edge.Close()
-	sp.SetAttr("functions", len(pop.Functions))
-	sp.End()
-	// The substrate is regenerated from the seed on every invocation
-	// (cheaper than serialising it); its boundary checkpoint just anchors
-	// the ledger.
-	mgr.StageDone("substrate", nil, nil)
+	p.edge = edge
+	sp.SetAttr("functions", len(p.pop.Functions))
+	return nil
+}
 
-	// ---- Stage 1: PDNS identification & aggregation (§3.2, §4). ----
-	// Emission and aggregation shard by FQDN across cfg.Workers: each
-	// worker feeds its own aggregator from its own per-function RNG
-	// streams, and the shard aggregates merge into the exact result the
-	// serial pass produces (see workload.AggregateParallel).
-	sctx, sp := startStage(ctx, "identify")
-	w := workload.Window()
-	// Under chaos a deterministic fraction of the feed is corrupted before
-	// aggregation; mangled records fail validation inside the aggregator
-	// and count as dropped, like a real feed's garbage rows.
-	var mutate []func(*pdns.Record)
-	if cfg.Chaos.FeedCorrupt > 0 {
-		mutate = append(mutate, func(r *pdns.Record) { injector.CorruptRecord(r) })
-	}
-	if resumed.HasStage("identify") && resumed.Aggregate != nil {
-		// The checkpoint carries the finished aggregate; nothing to emit.
-		res.Aggregate = resumed.Aggregate
-		sp.SetAttr("resumed", true)
-	} else {
+// identify is PDNS identification and aggregation (§3.2, §4). Emission and
+// aggregation shard by FQDN across cfg.Workers: each worker feeds its own
+// aggregator from its own per-function RNG streams, and the shard
+// aggregates merge into the exact result the serial pass produces (see
+// workload.AggregateParallel).
+func (p *pipeline) identify(ctx context.Context, sp *obs.Span) error {
+	cfg, res := p.cfg, p.res
+	if res.Aggregate == nil { // not restored from a checkpoint
+		// Under chaos a deterministic fraction of the feed is corrupted
+		// before aggregation; mangled records fail validation inside the
+		// aggregator and count as dropped, like a real feed's garbage rows.
+		var mutate []func(*pdns.Record)
+		if cfg.Chaos.FeedCorrupt > 0 {
+			mutate = append(mutate, func(r *pdns.Record) { p.injector.CorruptRecord(r) })
+		}
 		var ck *workload.EmitCheckpoint
-		if mgr != nil || injector.CrashScheduled() {
+		if p.mgr != nil || p.injector.CrashScheduled() {
 			ck = &workload.EmitCheckpoint{Interval: cfg.CheckpointInterval}
-			if mgr != nil {
+			if p.mgr != nil {
 				ck.Snapshot = func(progress []int64, shards []*pdns.Aggregator, rows int64) error {
-					mgr.SaveEmission(progress, shards, rows)
+					p.mgr.SaveEmission(progress, shards, rows)
 					return nil
 				}
 			}
-			if injector.CrashScheduled() {
-				ck.OnRow = func(n int64) { injector.CrashAtRow("identify", n) }
+			if p.injector.CrashScheduled() {
+				ck.OnRow = func(n int64) { p.injector.CrashAtRow("identify", n) }
 			}
 		}
 		var rs *workload.EmitResume
-		if resumed != nil && resumed.Emission != nil {
+		if p.resumed != nil && p.resumed.Emission != nil {
 			// Mid-emission snapshot: restored shard aggregators continue
 			// from progress[i] functions; the skipped prefix never replays
 			// because every function owns its own RNG stream.
-			rs = &workload.EmitResume{
-				Rows:     resumed.Emission.Rows,
-				Progress: resumed.Emission.Progress,
-				Shards:   resumed.Emission.Shards,
-			}
+			em := p.resumed.Emission
+			rs = &workload.EmitResume{Rows: em.Rows, Progress: em.Progress, Shards: em.Shards}
 		}
-		agg, err := workload.AggregateParallelCkpt(sctx, pop, resolver, nil, cfg.Workers, reg, ck, rs, mutate...)
+		agg, err := workload.AggregateParallelCkpt(ctx, p.pop, p.resolver, nil, cfg.Workers, p.reg, ck, rs, mutate...)
 		if err != nil {
-			err = fmt.Errorf("core: pdns: %w", err)
-			sp.SetError(err)
-			sp.End()
-			return res, err
+			return fmt.Errorf("pdns: %w", err)
 		}
 		res.Aggregate = agg
 	}
 	// Deletions take effect only now: the PDNS history above was recorded
 	// while the functions were alive, but the probing phase sees deleted
 	// Tencent functions as NXDOMAIN (§4.4).
-	workload.MarkDeleted(pop, resolver)
+	workload.MarkDeleted(p.pop, p.resolver)
 	perFn := res.Aggregate.PerFunctionStats()
 	res.Frequency = analysis.Frequency(perFn)
-	res.Lifespan = analysis.Lifespan(perFn, w)
+	res.Lifespan = analysis.Lifespan(perFn, workload.Window())
 	sp.SetAttr("records", res.Aggregate.Scanned)
 	sp.SetAttr("matched", res.Aggregate.Matched)
 	sp.SetAttr("domains", res.Aggregate.TotalDomains())
 	sp.SetAttr("workers", cfg.Workers)
-	sp.End()
-	mgr.StageDone("identify", res.Aggregate, nil)
+	return nil
+}
 
-	// ---- Stage 2: active probing (§3.3). ----
-	targets := pop.ProbeTargets()
-	sctx, sp = startStage(ctx, "probe")
-	if resumed.HasStage("probe") && resumed.Probe != nil {
-		// Probe results (bodies included) ride in the checkpoint, so the
-		// content stages downstream see exactly what the crashed run saw.
-		res.ProbeResults = resumed.Probe.Results
-		res.ProbeStats = resumed.Probe.Stats
-		sp.SetAttr("resumed", true)
-		sp.SetAttr("reachable", res.ProbeStats.Reachable)
-		sp.End()
-	} else if err := runProbeStage(sctx, sp, cfg, res, pop, targets, resolver, edge, injector, reg); err != nil {
-		return res, err
+// probe is the active-probing sweep (§3.3).
+func (p *pipeline) probe(ctx context.Context, sp *obs.Span) error {
+	p.targets = p.pop.ProbeTargets()
+	if p.res.ProbeResults == nil { // not restored from a checkpoint
+		prober := probe.New(probeConfig(p.cfg, p.pop, p.resolver, p.edge, p.injector, p.reg))
+		p.res.ProbeResults = prober.ProbeAll(ctx, p.targets)
+		p.res.ProbeStats = prober.Stats()
+		sp.SetAttr("targets", len(p.targets))
 	}
-	mgr.StageDone("probe", nil, &checkpoint.ProbeState{Results: res.ProbeResults, Stats: res.ProbeStats})
+	sp.SetAttr("reachable", p.res.ProbeStats.Reachable)
+	p.resolver = nil // no later stage resolves; its lookup cache can go
+	return nil
+}
 
-	// ---- Stage 3: sanitisation (§3.4, Appendix A). ----
-	// The per-response scan+anonymise work is pure once the salt is fixed,
-	// so it fans out across cfg.Workers; the fold back into census, type
-	// counts, and the document corpus runs serially in probe-result order,
-	// keeping the stage bit-identical for every worker count.
-	_, sp = startStage(ctx, "sanitise")
-	anonRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5a17))
-	anon := secrets.NewAnonymizer(anonRng)
+// sanitise is sensitive-data scanning and anonymisation (§3.4, Appendix
+// A). The per-response scan+anonymise work is pure once the salt is fixed,
+// so it fans out across cfg.Workers; the fold back into census, type
+// counts, and the document corpus runs serially in probe-result order,
+// keeping the stage bit-identical for every worker count.
+func (p *pipeline) sanitise(_ context.Context, sp *obs.Span) error {
+	res := p.res
+	anon := secrets.NewAnonymizer(rand.New(rand.NewSource(p.cfg.Seed ^ 0x5a17)))
 	res.TypeCounts = map[content.Type]int{}
-	byFQDN := fqdnIndex(pop)
+	byFQDN := fqdnIndex(p.pop)
 	type sanitised struct {
 		doc      abuse.Document
 		findings []secrets.Finding
@@ -628,7 +696,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		rich     bool // 200 + body: contributes to the content corpus
 	}
 	cleaned := make([]sanitised, len(res.ProbeResults))
-	parallelFor(len(res.ProbeResults), cfg.Workers, func(i int) {
+	parallelFor(len(res.ProbeResults), p.cfg.Workers, func(i int) {
 		r := &res.ProbeResults[i]
 		if !r.Reachable {
 			return
@@ -656,9 +724,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			out.doc.ChinaRegion = providers.ChinaRegion(f.Region)
 		}
 	})
-	docs := make([]abuse.Document, 0, len(res.ProbeResults))
-	var contentDocs []string
-	var contentTypes []content.Type
+	p.docs = make([]abuse.Document, 0, len(res.ProbeResults))
 	for i := range cleaned {
 		c := &cleaned[i]
 		if !c.keep {
@@ -668,34 +734,36 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			res.SecretsCensus.Add(c.findings)
 			res.ContentRich++
 			res.TypeCounts[c.ct]++
-			contentDocs = append(contentDocs, c.doc.Body)
-			contentTypes = append(contentTypes, c.ct)
+			p.contentDocs = append(p.contentDocs, c.doc.Body)
+			p.contentTypes = append(p.contentTypes, c.ct)
 		}
-		docs = append(docs, c.doc)
+		p.docs = append(p.docs, c.doc)
 	}
-	sp.SetAttr("docs", len(docs))
+	sp.SetAttr("docs", len(p.docs))
 	sp.SetAttr("content_rich", res.ContentRich)
-	sp.End()
-	// The stages from here on are cheap, deterministic recomputations of
-	// earlier state, so their checkpoints carry only the ledger: a resume
-	// that lands past probe replays them rather than serialising their
-	// outputs.
-	mgr.StageDone("sanitise", nil, nil)
+	return nil
+}
 
-	// ---- Stage 4: clustering (§3.4). ----
-	_, sp = startStage(ctx, "cluster")
-	res.ClustersByType = clusterByType(contentDocs, contentTypes, cfg)
-	for _, n := range res.ClustersByType {
-		res.TotalClusters += n
+// cluster is per-content-type TF-IDF clustering (§3.4).
+func (p *pipeline) cluster(_ context.Context, sp *obs.Span) error {
+	p.res.ClustersByType = clusterByType(p.contentDocs, p.contentTypes, p.cfg)
+	// The corpus is consumed: dropping it keeps the sanitised bodies out of
+	// the live heap during the allocation-heavy C2 sweep.
+	p.contentDocs, p.contentTypes = nil, nil
+	for _, n := range p.res.ClustersByType {
+		p.res.TotalClusters += n
 	}
-	sp.SetAttr("clusters", res.TotalClusters)
-	sp.End()
-	mgr.StageDone("cluster", nil, nil)
+	sp.SetAttr("clusters", p.res.TotalClusters)
+	return nil
+}
 
-	// ---- Stage 5: abuse classification (§5). ----
-	// Classify is pure per document, so the scan fans out; the verdict map
-	// is folded serially in document order.
-	sctx, sp = startStage(ctx, "classify")
+// classify is abuse classification (§5). Classify is pure per document,
+// so the scan fans out; the verdict map is folded serially in document
+// order. The C2 fingerprint sweep runs inside it as a nested span: its
+// detections become verdicts of this stage, so it has no boundary of its
+// own.
+func (p *pipeline) classify(ctx context.Context, sp *obs.Span) error {
+	cfg, res, docs := p.cfg, p.res, p.docs
 	res.Verdicts = map[string][]abuse.Verdict{}
 	verdicts := make([][]abuse.Verdict, len(docs))
 	parallelFor(len(docs), cfg.Workers, func(i int) {
@@ -706,8 +774,9 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			res.Verdicts[docs[i].FQDN] = vs
 		}
 	}
+	p.docs = nil // consumed, as the corpus is in cluster
 	if !cfg.SkipC2Scan {
-		c2Targets := targets
+		c2Targets := p.targets
 		if !cfg.C2ScanAll {
 			c2Targets = c2Targets[:0:0]
 			for i := range res.ProbeResults {
@@ -717,8 +786,8 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 				}
 			}
 		}
-		cctx, csp := obs.StartSpan(sctx, "c2-sweep")
-		res.C2Detections = scanC2(cctx, cfg, edge, db, reg, c2Targets)
+		cctx, csp := obs.StartSpan(ctx, "c2-sweep")
+		res.C2Detections = scanC2(cctx, cfg, p.edge, p.db, p.reg, c2Targets)
 		csp.SetAttr("targets", len(c2Targets))
 		csp.SetAttr("detections", len(res.C2Detections))
 		csp.SetError(cctx.Err())
@@ -730,62 +799,40 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			}
 		}
 	}
-	requests := map[string]int64{}
+	p.requests = map[string]int64{}
 	for fqdn, fs := range res.Aggregate.ByFQDN {
-		requests[fqdn] = fs.TotalRequest
+		p.requests[fqdn] = fs.TotalRequest
 	}
-	res.AbuseReport = abuse.NewReport(res.Verdicts, requests, res.ContentRich)
+	res.AbuseReport = abuse.NewReport(res.Verdicts, p.requests, res.ContentRich)
 	var allVerdicts []abuse.Verdict
 	for _, vs := range res.Verdicts {
 		allVerdicts = append(allVerdicts, vs...)
 	}
 	res.ResaleGroups = abuse.GroupByContact(allVerdicts)
 	sp.SetAttr("abused", res.AbuseReport.TotalFunctions())
-	sp.SetError(sctx.Err())
-	sp.End()
-	if err := sctx.Err(); err != nil {
-		return res, fmt.Errorf("core: c2 sweep aborted: %w", err)
-	}
-	mgr.StageDone("classify", nil, nil)
-
-	// ---- Stage 6: threat-intelligence coverage (§5.5). ----
-	_, sp = startStage(ctx, "assess")
-	oracle := ti.NewOracle()
-	seedTI(oracle, res.C2Detections)
-	abused := make([]string, 0, len(res.AbuseReport.Assigned))
-	for fqdn := range res.AbuseReport.Assigned {
-		abused = append(abused, fqdn)
-	}
-	res.TICoverage = oracle.Assess(abused)
-	sp.SetAttr("flagged", res.TICoverage.Flagged)
-	sp.End()
-	mgr.StageDone("assess", nil, nil)
-
-	// ---- Stage 7: responsible disclosure (§5.5, Appendix A). ----
-	_, sp = startStage(ctx, "disclosure")
-	res.Disclosures = disclosure.Build(res.AbuseReport, res.Verdicts, requests)
-	disclosure.SimulateVendorResponses(res.Disclosures, workload.DeployWindowClock()())
-	sp.SetAttr("reports", len(res.Disclosures))
-	sp.End()
-	mgr.StageDone("disclosure", nil, nil)
-
-	return res, nil
+	return nil
 }
 
-// runProbeStage executes the active-probing sweep (§3.3) into res. It owns
-// the stage span's closure; a cancelled context is returned as the stage
-// error after the span ends.
-func runProbeStage(sctx context.Context, sp *obs.Span, cfg Config, res *Results, pop *workload.Population, targets []string, resolver *dnssim.Resolver, edge *faas.Edge, injector *fault.Injector, reg *obs.Registry) error {
-	prober := probe.New(probeConfig(cfg, pop, resolver, edge, injector, reg))
-	res.ProbeResults = prober.ProbeAll(sctx, targets)
-	res.ProbeStats = prober.Stats()
-	sp.SetAttr("targets", len(targets))
-	sp.SetAttr("reachable", res.ProbeStats.Reachable)
-	sp.SetError(sctx.Err())
-	sp.End()
-	if err := sctx.Err(); err != nil {
-		return fmt.Errorf("core: probe sweep aborted: %w", err)
+// assess measures threat-intelligence coverage of the abused functions
+// (§5.5).
+func (p *pipeline) assess(_ context.Context, sp *obs.Span) error {
+	oracle := ti.NewOracle()
+	seedTI(oracle, p.res.C2Detections)
+	abused := make([]string, 0, len(p.res.AbuseReport.Assigned))
+	for fqdn := range p.res.AbuseReport.Assigned {
+		abused = append(abused, fqdn)
 	}
+	p.res.TICoverage = oracle.Assess(abused)
+	sp.SetAttr("flagged", p.res.TICoverage.Flagged)
+	return nil
+}
+
+// disclosure builds the per-provider responsible-disclosure packages (§5.5,
+// Appendix A).
+func (p *pipeline) disclosure(_ context.Context, sp *obs.Span) error {
+	p.res.Disclosures = disclosure.Build(p.res.AbuseReport, p.res.Verdicts, p.requests)
+	disclosure.SimulateVendorResponses(p.res.Disclosures, workload.DeployWindowClock()())
+	sp.SetAttr("reports", len(p.res.Disclosures))
 	return nil
 }
 

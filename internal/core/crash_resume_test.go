@@ -340,3 +340,37 @@ func TestRunIDIgnoresCheckpointConfig(t *testing.T) {
 		t.Errorf("run ID with crash schedule = %s, without = %s", got, plain)
 	}
 }
+
+// TestCrashOnlyChaosFollowsEnv: a crash-only chaos spec leaves the fault
+// half unset, so under an ambient SCF_CHAOS it resolves like a zero config
+// — the crashing run and its resume (which carries no -chaos) hash to the
+// same run ID — and it keeps its crash schedule.
+func TestCrashOnlyChaosFollowsEnv(t *testing.T) {
+	for _, env := range []string{"", "light,seed=3"} {
+		t.Setenv(fault.EnvVar, env)
+		crashOnly, err := fault.ParseProfile("crash=probe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := Config{Seed: 1, Scale: 0.01, Workers: 4, SkipC2Scan: true}
+		zero, err := base.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.Chaos = crashOnly
+		crash, err := base.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := (&Results{Config: crash}).RunID(), (&Results{Config: zero}).RunID(); a != b {
+			t.Errorf("SCF_CHAOS=%q: crash-only run ID %s (chaos %s), zero config %s (chaos %s)",
+				env, a, crash.Chaos, b, zero.Chaos)
+		}
+		if crash.Chaos.CrashStage != "probe" {
+			t.Errorf("SCF_CHAOS=%q: crash schedule lost: %q", env, crash.Chaos.CrashSpec())
+		}
+		if crash.Chaos.Enabled() != (env != "") {
+			t.Errorf("SCF_CHAOS=%q: resolved chaos %s, want the environment's fault classes", env, crash.Chaos)
+		}
+	}
+}

@@ -4,10 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -78,40 +81,86 @@ func TestRunStageSpans(t *testing.T) {
 }
 
 // TestRunContextCancel verifies a cancelled context aborts the pipeline
-// cleanly: partial results come back with the context error, and the
-// interrupted stage span records the cancellation. A pre-cancelled context
-// stops inside identify — emission checks the context between functions so
-// an interrupt can flush a final checkpoint — making identify the
-// interrupted stage here.
+// cleanly at the end of the stage it interrupts: partial results come back
+// with the context error wrapped as "core: <stage>: ...", the interrupted
+// stage's span records the cancellation, no later stage starts, and the
+// interrupted stage writes no checkpoint. A pre-cancelled context stops at
+// the first boundary check, after substrate; a cancel at the end of
+// identify interrupts probe; one at the end of sanitise interrupts cluster,
+// a stage that never looks at the context itself.
 func TestRunContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before any stage starts
-	res, err := RunContext(ctx, Config{
-		Seed:         2,
-		Scale:        0.002,
-		ProbeTimeout: 500 * time.Millisecond,
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	cases := []struct {
+		cancelAfter string // "" cancels before the run starts
+		stopped     string // the stage the error names
+		lastCkpt    string // the newest boundary checkpoint
+	}{
+		{"", "substrate", ""},
+		{"identify", "probe", "identify"},
+		{"sanitise", "cluster", "sanitise"},
 	}
-	if res == nil {
-		t.Fatal("want partial results for manifest writing")
-	}
-	var identify *obs.SpanRecord
-	for i := range res.Stages {
-		if res.Stages[i].Name == "identify" {
-			identify = &res.Stages[i]
+	for _, c := range cases {
+		ctx, cancel := context.WithCancel(context.Background())
+		if c.cancelAfter == "" {
+			cancel()
+		}
+		elog := obs.NewEventLog()
+		elog.SetSink(cancelAt{stage: c.cancelAfter, cancel: cancel})
+		res, err := RunContext(obs.ContextWithEventLog(ctx, elog), Config{
+			Seed:          2,
+			Scale:         0.002,
+			ProbeTimeout:  500 * time.Millisecond,
+			SkipC2Scan:    true,
+			CheckpointDir: t.TempDir(),
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel after %q: err = %v, want context.Canceled", c.cancelAfter, err)
+		}
+		if want := "core: " + c.stopped + ": "; !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("cancel after %q: err = %q, want it to name the stage (%q)", c.cancelAfter, err, want)
+		}
+		if res == nil {
+			t.Fatal("want partial results for manifest writing")
+		}
+		names := stageNames(res.Stages)
+		if last := res.Stages[len(res.Stages)-1]; last.Name != c.stopped || last.Err == "" {
+			t.Fatalf("cancel after %q: stages %v, last %s err %q — want %s last, recording the cancellation",
+				c.cancelAfter, names, last.Name, last.Err, c.stopped)
+		}
+		if got := res.Recovery.LastStage; got != c.lastCkpt {
+			t.Fatalf("cancel after %q: newest checkpoint at %q, want %q", c.cancelAfter, got, c.lastCkpt)
+		}
+		// The manifest of an aborted run must still serialise.
+		if _, err := res.Manifest("test").MarshalIndent(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if identify == nil {
-		t.Fatalf("no identify span in %v", stageNames(res.Stages))
+}
+
+// cancelAt is an event-log sink that cancels the run as stage ends.
+type cancelAt struct {
+	stage  string
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) Write(p []byte) (int, error) {
+	var e obs.Event
+	if json.Unmarshal(p, &e) == nil && e.Type == obs.EventStageEnd && e.Name == c.stage {
+		c.cancel()
 	}
-	if identify.Err == "" {
-		t.Error("identify span did not record the cancellation")
+	return len(p), nil
+}
+
+// TestStageTableMatchesCrashpoints: the stage table and the crashpoint
+// list agree on names and order, so every crash=<stage> spec has a
+// boundary to fire at.
+func TestStageTableMatchesCrashpoints(t *testing.T) {
+	var names []string
+	for _, st := range stages {
+		names = append(names, st.name)
 	}
-	// The manifest of an aborted run must still serialise.
-	if _, err := res.Manifest("test").MarshalIndent(); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(names, fault.Stages) {
+		t.Fatalf("stage table %v, crashpoints %v", names, fault.Stages)
 	}
 }
 

@@ -253,7 +253,7 @@ func (r *Results) RenderHealth() string {
 
 // RenderResources renders the per-stage runtime high-water marks the
 // resource sampler collected. Empty string when sampling was disabled
-// (Config.ResourceInterval zero), so callers can print it unconditionally.
+// (Config.SampleInterval zero), so callers can print it unconditionally.
 func (r *Results) RenderResources() string {
 	if len(r.Resources) == 0 {
 		return ""

@@ -18,8 +18,8 @@ func TestPipelineResourceSampling(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		cfg := Config{
 			Seed: 7, Scale: 0.002, Workers: workers, SkipC2Scan: true,
-			ProbeTimeout:     500 * time.Millisecond,
-			ResourceInterval: time.Millisecond,
+			ProbeTimeout:   500 * time.Millisecond,
+			SampleInterval: time.Millisecond,
 		}
 		elog := obs.NewEventLog()
 		res, err := RunContext(obs.ContextWithEventLog(context.Background(), elog), cfg)
@@ -73,8 +73,8 @@ func TestResourceSamplingPreservesGolden(t *testing.T) {
 	run := func(interval time.Duration) (*Results, string) {
 		res, err := Run(Config{
 			Seed: 7, Scale: 0.002, Workers: 2, SkipC2Scan: true,
-			ProbeTimeout:     500 * time.Millisecond,
-			ResourceInterval: interval,
+			ProbeTimeout:   500 * time.Millisecond,
+			SampleInterval: interval,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestResourceSamplingPreservesGolden(t *testing.T) {
 		t.Fatal("sampling run collected no stats")
 	}
 	if filepath.Base(dirOff) != filepath.Base(dirOn) {
-		t.Fatalf("run ID moved: %s vs %s — ResourceInterval leaked into the config hash",
+		t.Fatalf("run ID moved: %s vs %s — SampleInterval leaked into the config hash",
 			filepath.Base(dirOff), filepath.Base(dirOn))
 	}
 	for _, name := range []string{

@@ -3,16 +3,19 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/timeline"
+	"repro/internal/report"
 )
 
 // TestTimelinePreservesGolden is the golden-preservation proof for
-// -timeline-interval: at several worker counts, a recorded run's
+// -sample-interval: at several worker counts, a recorded run's
 // deterministic half — run ID, summary, and every artifact — is
 // byte-identical to the unrecorded run's. The timeline observes the
 // pipeline; it must never move the measurement.
@@ -39,7 +42,7 @@ func TestTimelinePreservesGolden(t *testing.T) {
 		}
 		for name, content := range barch.Artifacts {
 			if rarch.Artifacts[name] != content {
-				t.Fatalf("workers=%d: artifact %s differs under -timeline-interval", workers, name)
+				t.Fatalf("workers=%d: artifact %s differs under -sample-interval", workers, name)
 			}
 		}
 
@@ -113,13 +116,35 @@ func TestTimelineStageAnnotations(t *testing.T) {
 	}
 }
 
+// TestTimelineRecordsColumn: over a real recorded run, the rendered
+// timeline's records column sums to the identify stage's scanned-record
+// count — every PDNS record lands in exactly one window.
+func TestTimelineRecordsColumn(t *testing.T) {
+	res := timelineRun(t, 2, 20*time.Millisecond, fault.None())
+	var sum int64
+	for _, line := range strings.Split(report.RenderTimeline("test", res.Timeline), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 6 {
+			continue
+		}
+		n, err := strconv.ParseInt(strings.TrimSpace(cells[5]), 10, 64)
+		if err != nil {
+			continue // header and separator rows
+		}
+		sum += n
+	}
+	if sum == 0 || sum != res.Aggregate.Scanned {
+		t.Fatalf("records column sums to %d, identify scanned %d", sum, res.Aggregate.Scanned)
+	}
+}
+
 func timelineRun(t *testing.T, workers int, interval time.Duration, chaos fault.Profile) *Results {
 	t.Helper()
 	cfg := Config{
 		Seed: 7, Scale: 0.002, Workers: workers, SkipC2Scan: true,
-		ProbeTimeout:     500 * time.Millisecond,
-		Chaos:            chaos,
-		TimelineInterval: interval,
+		ProbeTimeout:   500 * time.Millisecond,
+		Chaos:          chaos,
+		SampleInterval: interval,
 	}
 	elog := obs.NewEventLog()
 	res, err := RunContext(obs.ContextWithEventLog(context.Background(), elog), cfg)

@@ -24,7 +24,7 @@ func TestParseCrashSpecs(t *testing.T) {
 		auto  int
 	}{
 		{"none,crash=probe", "probe", 0, 0},
-		{"crash=probe", "probe", 0, 0}, // bare option implies the none profile
+		{"crash=probe", "probe", 0, 0}, // bare option leaves the fault half unset
 		{"crash=identify:9000", "identify", 9000, 0},
 		{"heavy,crash=disclosure,seed=9", "disclosure", 0, 0},
 		{"crash=auto", "", 0, 1},

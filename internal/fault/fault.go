@@ -43,9 +43,10 @@ import (
 )
 
 // Profile parameterises one chaos campaign: the per-FQDN probability of each
-// fault class plus the seed the schedule derives from. The zero Profile
-// means "unset" (callers fall back to the SCF_CHAOS environment variable);
-// the named "none" profile disables injection explicitly.
+// fault class plus the seed the schedule derives from. A profile with no
+// name and no rates leaves its fault half unset (OrEnv fills it from the
+// SCF_CHAOS environment variable); the named "none" profile disables
+// injection explicitly.
 type Profile struct {
 	Name string
 	// Seed keys every fault schedule; 0 lets the caller substitute the
@@ -96,9 +97,28 @@ func Heavy() Profile {
 	}
 }
 
-// IsZero reports whether the profile is unset (distinct from None, which is
-// an explicit opt-out).
-func (p Profile) IsZero() bool { return p == Profile{} }
+// OrEnv fills an unset fault half from SCF_CHAOS. A profile with no name
+// and no rates — the zero profile, or what a leading "crash=" or "seed="
+// spec parses to — takes the environment's fault classes and keeps its own
+// crash schedule and pinned seed, so a crashing run and its resume land in
+// the same run slot under an ambient SCF_CHAOS. Any other profile, None
+// included, is returned as is.
+func (p Profile) OrEnv() (Profile, error) {
+	if p.Name != "" || p.Enabled() {
+		return p, nil
+	}
+	env, err := FromEnv()
+	if err != nil {
+		return Profile{}, err
+	}
+	if p.Seed != 0 {
+		env.Seed = p.Seed
+	}
+	if p.CrashSpec() != "" {
+		env.CrashStage, env.CrashRows, env.CrashAuto = p.CrashStage, p.CrashRows, p.CrashAuto
+	}
+	return env, nil
+}
 
 // Enabled reports whether any fault class has a non-zero rate.
 func (p Profile) Enabled() bool {
@@ -148,10 +168,10 @@ func ParseProfile(spec string) (Profile, error) {
 	case "heavy":
 		p = Heavy()
 	default:
-		// A leading k=v option ("crash=probe") implies the none profile, so
-		// crash injection does not force fault injection along with it.
+		// A leading k=v option ("crash=probe", "seed=7") leaves the fault
+		// half unset: crash injection does not force fault injection along
+		// with it, and OrEnv fills it from SCF_CHAOS like an empty spec.
 		if strings.Contains(first, "=") {
-			p = None()
 			opts = parts
 			break
 		}

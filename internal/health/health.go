@@ -3,11 +3,11 @@
 // thresholds over (possibly labeled) metrics, optionally grouped by one
 // label — "conn-failure share per provider below 2%", "probe p99 per
 // provider under 3x the timeout", "zero quarantined feed lines". A Monitor
-// samples the registry on a fixed interval, evaluates every rule over a
-// rolling window of snapshot deltas, and emits a structured health event
-// into the run's event log the first time a (rule, group) fires; Finalize
-// re-evaluates cumulatively and returns the full per-group result table for
-// the report.
+// evaluates every rule over a rolling window of the snapshots the run's
+// observer hands it (internal/obs/timeline), and emits a structured health
+// event into the run's event log the first time a (rule, group) fires;
+// Finalize re-evaluates cumulatively and returns the full per-group result
+// table for the report.
 //
 // Everything here reads the registry and writes the event log — the two
 // machine-varying surfaces of a run. Nothing feeds the deterministic run
@@ -18,7 +18,6 @@ package health
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -64,9 +63,10 @@ type Result struct {
 	Window  string  `json:"window"` // "run", or the rolling window that first fired
 	Fired   bool    `json:"fired"`
 	// WindowIndex is the telemetry-timeline window the firing was first
-	// attributed to, when a timeline recorder was wired (SetWindowIndex);
-	// 0 otherwise. Machine-varying: it depends on where wall-clock windows
-	// fell, so it never feeds the deterministic summary.
+	// attributed to — the window closed by the observer tick that saw it —
+	// when the run records a timeline; 0 otherwise. Machine-varying: it
+	// depends on where wall-clock windows fell, so it never feeds the
+	// deterministic summary.
 	WindowIndex int64 `json:"window_index,omitempty"`
 }
 
@@ -213,24 +213,17 @@ func histGroups(s obs.Snapshot, name, per string, match map[string]string) map[s
 	return nil
 }
 
-// Monitor samples a registry on an interval and evaluates rules over a
-// rolling window of snapshot deltas while the run executes. A nil *Monitor
-// is a valid no-op, like the rest of the observability layer.
+// Monitor evaluates rules over a rolling window of registry snapshots and
+// remembers the first firing of each (rule, group). It owns no goroutine and
+// no clock: the run's observer hands it one snapshot per tick and serialises
+// every call. A nil *Monitor is a valid no-op, like the rest of the
+// observability layer.
 type Monitor struct {
-	reg      *obs.Registry
-	elog     *obs.EventLog
-	rules    []Rule
-	interval time.Duration
-	window   time.Duration
-
-	mu       sync.Mutex
-	ring     []timedSnap
-	fired    map[string]Result // rule\x00group → first firing
-	windowFn func() int64      // current timeline window index, nil when unwired
-	onFiring func(Result)      // first-firing hook, nil when unwired
-
-	stop chan struct{}
-	done chan struct{}
+	elog   *obs.EventLog
+	rules  []Rule
+	window time.Duration
+	ring   []timedSnap
+	fired  map[string]Result // rule\x00group → first firing
 }
 
 type timedSnap struct {
@@ -238,93 +231,58 @@ type timedSnap struct {
 	snap obs.Snapshot
 }
 
-// NewMonitor builds a monitor over reg that logs firings into elog.
-// Evaluation happens every 500ms over a 10s rolling window; Finalize always
-// adds a cumulative whole-run evaluation, so short runs are covered even if
-// no tick ever fires.
-func NewMonitor(reg *obs.Registry, elog *obs.EventLog, rules []Rule) *Monitor {
+// NewMonitor builds a monitor that logs firings into elog and evaluates its
+// rules over a 10s rolling window.
+func NewMonitor(elog *obs.EventLog, rules []Rule) *Monitor {
 	return &Monitor{
-		reg:      reg,
-		elog:     elog,
-		rules:    rules,
-		interval: 500 * time.Millisecond,
-		window:   10 * time.Second,
-		fired:    make(map[string]Result),
+		elog:   elog,
+		rules:  rules,
+		window: 10 * time.Second,
+		fired:  make(map[string]Result),
 	}
 }
 
-// SetWindowIndex wires the timeline recorder's current-window source; each
-// first firing is stamped with the window it happened in. Call before Start.
-func (m *Monitor) SetWindowIndex(fn func() int64) {
+// Observe evaluates every rule over the delta between the oldest snapshot
+// still inside the rolling window and snap, taken at now, and returns the
+// (rule, group) pairs firing for the first time. keep adds snap to the
+// window's ring; the observer keeps at most one snapshot per 500ms, so the
+// ring stays small at any sampling interval. window is the timeline window
+// the firings are attributed to, or -1 when the run records no timeline.
+func (m *Monitor) Observe(now time.Time, snap obs.Snapshot, keep bool, window int64) []Result {
 	if m == nil {
-		return
+		return nil
 	}
-	m.mu.Lock()
-	m.windowFn = fn
-	m.mu.Unlock()
-}
-
-// SetOnFiring registers a hook invoked (under the monitor's lock — keep it
-// cheap) for each first firing per (rule, group); the timeline recorder uses
-// it to annotate the breach onto the current window. Call before Start.
-func (m *Monitor) SetOnFiring(fn func(Result)) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.onFiring = fn
-	m.mu.Unlock()
-}
-
-// Start launches the sampling goroutine. Finalize stops it.
-func (m *Monitor) Start() {
-	if m == nil || m.stop != nil {
-		return
-	}
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	go func() {
-		defer close(m.done)
-		t := time.NewTicker(m.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case <-t.C:
-				m.tick(time.Now())
-			}
-		}
-	}()
-}
-
-func (m *Monitor) tick(now time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ring = append(m.ring, timedSnap{at: now, snap: m.reg.Snapshot()})
 	cut := 0
-	for cut < len(m.ring)-1 && now.Sub(m.ring[cut].at) > m.window {
+	for cut < len(m.ring) && now.Sub(m.ring[cut].at) > m.window {
 		cut++
 	}
 	m.ring = m.ring[cut:]
-	if len(m.ring) < 2 {
-		return
+	var base *obs.Snapshot
+	if len(m.ring) > 0 {
+		base = &m.ring[0].snap
 	}
-	delta := obs.DeltaSnapshot(m.ring[0].snap, m.ring[len(m.ring)-1].snap)
-	window := fmt.Sprintf("%gs", m.window.Seconds())
-	for _, res := range Evaluate(delta, m.rules, window) {
-		if res.Fired {
-			m.recordFiring(res)
+	if keep {
+		m.ring = append(m.ring, timedSnap{at: now, snap: snap})
+	}
+	if base == nil {
+		return nil
+	}
+	var first []Result
+	label := fmt.Sprintf("%gs", m.window.Seconds())
+	for _, res := range Evaluate(obs.DeltaSnapshot(*base, snap), m.rules, label) {
+		if res.Fired && m.recordFiring(&res, window) {
+			first = append(first, res)
 		}
 	}
+	return first
 }
 
-// recordFiring stores and logs the first firing per (rule, group). Callers
-// hold m.mu.
-func (m *Monitor) recordFiring(res Result) {
+// recordFiring stamps res with window (when >= 0), stores it, and logs it,
+// unless its (rule, group) already fired. It reports whether res was new.
+func (m *Monitor) recordFiring(res *Result, window int64) bool {
 	key := res.Rule + "\x00" + res.Group
 	if _, seen := m.fired[key]; seen {
-		return
+		return false
 	}
 	attrs := []obs.Attr{
 		{Key: "group", Value: res.Group},
@@ -333,45 +291,37 @@ func (m *Monitor) recordFiring(res Result) {
 		{Key: "window", Value: res.Window},
 		{Key: "samples", Value: fmt.Sprintf("%d", res.Samples)},
 	}
-	if m.windowFn != nil {
-		res.WindowIndex = m.windowFn()
-		attrs = append(attrs, obs.Attr{Key: "window_index", Value: fmt.Sprintf("%d", res.WindowIndex)})
+	if window >= 0 {
+		res.WindowIndex = window
+		attrs = append(attrs, obs.Attr{Key: "window_index", Value: fmt.Sprintf("%d", window)})
 	}
-	m.fired[key] = res
+	m.fired[key] = *res
 	m.elog.Emit(obs.EventHealth, res.Rule, attrs...)
-	if m.onFiring != nil {
-		m.onFiring(res)
-	}
+	return true
 }
 
-// Finalize stops the sampler, evaluates every rule against the cumulative
-// registry state, merges in any mid-run firings (a transient breach stays
-// fired even if the whole-run value recovered), and returns the full result
-// table sorted by rule then group. Safe to call without Start, and at most
-// once.
-func (m *Monitor) Finalize() []Result {
+// Finalize evaluates every rule against the cumulative snapshot snap,
+// merges in the rolling-window firings (a transient breach stays fired even
+// if the whole-run value recovered), and returns the full result table
+// sorted by rule then group, plus the pairs that fired for the first time
+// here (stamped with window, as in Observe).
+func (m *Monitor) Finalize(snap obs.Snapshot, window int64) (table, first []Result) {
 	if m == nil {
-		return nil
+		return nil, nil
 	}
-	if m.stop != nil {
-		close(m.stop)
-		<-m.done
-		m.stop = nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	final := Evaluate(m.reg.Snapshot(), m.rules, "run")
-	for i, res := range final {
+	final := Evaluate(snap, m.rules, "run")
+	for i := range final {
+		res := &final[i]
 		key := res.Rule + "\x00" + res.Group
 		if res.Fired {
-			m.recordFiring(res)
+			if m.recordFiring(res, window) {
+				first = append(first, *res)
+			}
 			// The cumulative row keeps its whole-run value, but the window
 			// stamp belongs to the first firing — that's when it happened.
-			if first, ok := m.fired[key]; ok {
-				final[i].WindowIndex = first.WindowIndex
-			}
-		} else if first, ok := m.fired[key]; ok {
-			final[i] = first // transient mid-run breach: keep the firing
+			res.WindowIndex = m.fired[key].WindowIndex
+		} else if f, ok := m.fired[key]; ok {
+			*res = f // transient mid-run breach: keep the firing
 		}
 	}
 	// Groups that fired mid-run but fell below MinSamples (or vanished) in
@@ -380,9 +330,9 @@ func (m *Monitor) Finalize() []Result {
 	for _, res := range final {
 		have[res.Rule+"\x00"+res.Group] = true
 	}
-	for key, first := range m.fired {
+	for key, f := range m.fired {
 		if !have[key] {
-			final = append(final, first)
+			final = append(final, f)
 		}
 	}
 	order := make(map[string]int, len(m.rules))
@@ -395,7 +345,7 @@ func (m *Monitor) Finalize() []Result {
 		}
 		return final[i].Group < final[j].Group
 	})
-	return final
+	return final, first
 }
 
 // Fired reports whether any result in rs fired.
@@ -407,4 +357,3 @@ func Fired(rs []Result) bool {
 	}
 	return false
 }
-

@@ -95,16 +95,21 @@ func TestMonitorTickAndFinalize(t *testing.T) {
 		Per:    "provider", Den: "probe_outcomes_total",
 		Max: 0.02, MinSamples: 50,
 	}}
-	m := NewMonitor(r, elog, rules)
+	m := NewMonitor(elog, rules)
 
 	// Drive ticks by hand — no goroutine, no wall-clock dependence.
 	base := time.Unix(1000, 0)
-	m.tick(base)
+	m.Observe(base, r.Snapshot(), true, -1)
 	v.With("aws", "ok", "first").Add(40)
 	v.With("aws", "conn", "first").Add(20) // 33% conn within the window
-	m.tick(base.Add(time.Second))
+	if first := m.Observe(base.Add(time.Second), r.Snapshot(), true, -1); len(first) != 1 {
+		t.Fatalf("tick firings = %+v, want the aws conn-rate firing", first)
+	}
 
-	res := m.Finalize()
+	res, first := m.Finalize(r.Snapshot(), -1)
+	if len(first) != 0 {
+		t.Fatalf("finalize re-reported %+v as a first firing", first)
+	}
 	if !Fired(res) {
 		t.Fatalf("results = %+v, want the aws conn-rate firing to survive finalize", res)
 	}
@@ -145,16 +150,16 @@ func TestMonitorTransientBreachSticks(t *testing.T) {
 		Per:    "provider", Den: "probe_outcomes_total",
 		Max: 0.02, MinSamples: 50,
 	}}
-	m := NewMonitor(r, elog, rules)
+	m := NewMonitor(elog, rules)
 	base := time.Unix(2000, 0)
-	m.tick(base)
+	m.Observe(base, r.Snapshot(), true, -1)
 	v.With("aws", "conn", "first").Add(30)
 	v.With("aws", "ok", "first").Add(30)
-	m.tick(base.Add(time.Second)) // 50% conn in the window: fires
+	m.Observe(base.Add(time.Second), r.Snapshot(), true, -1) // 50% conn in the window: fires
 	// Recovery: flood of successes pushes the cumulative rate under 2%.
 	v.With("aws", "ok", "first").Add(100000)
 
-	res := m.Finalize()
+	res, _ := m.Finalize(r.Snapshot(), -1)
 	if !Fired(res) {
 		t.Fatalf("results = %+v, want the transient breach kept fired", res)
 	}
@@ -162,9 +167,11 @@ func TestMonitorTransientBreachSticks(t *testing.T) {
 
 func TestMonitorNilSafe(t *testing.T) {
 	var m *Monitor
-	m.Start()
-	if res := m.Finalize(); res != nil {
-		t.Fatalf("nil monitor finalize = %+v", res)
+	if res := m.Observe(time.Unix(0, 0), obs.Snapshot{}, true, 0); res != nil {
+		t.Fatalf("nil monitor observe = %+v", res)
+	}
+	if res, first := m.Finalize(obs.Snapshot{}, 0); res != nil || first != nil {
+		t.Fatalf("nil monitor finalize = %+v, %+v", res, first)
 	}
 }
 
@@ -184,44 +191,60 @@ func TestDefaultRulesFeedDrop(t *testing.T) {
 	}
 }
 
-// TestMonitorTimelineHooks: with SetWindowIndex/SetOnFiring wired, each
-// first firing is stamped with the current timeline window, the event log
-// carries a window_index attribute, and the hook sees the firing exactly
-// once (the cumulative re-firing at Finalize deduplicates).
+// TestMonitorTimelineHooks: a first firing is stamped with the timeline
+// window its tick closes, the event log carries a window_index attribute,
+// the firing is reported once (the cumulative re-firing at Finalize
+// deduplicates and keeps the stamp), and a firing first seen at Finalize
+// takes Finalize's window. Without a timeline (window -1) nothing is
+// stamped.
 func TestMonitorTimelineHooks(t *testing.T) {
 	r := obs.NewRegistry()
 	elog := obs.NewEventLog()
-	m := NewMonitor(r, elog, []Rule{{Name: "quarantined", Metric: "pdns_reader_quarantined_total", Max: 0}})
-	m.SetWindowIndex(func() int64 { return 7 })
-	var hooked []Result
-	m.SetOnFiring(func(res Result) { hooked = append(hooked, res) })
+	m := NewMonitor(elog, []Rule{
+		{Name: "quarantined", Metric: "pdns_reader_quarantined_total", Max: 0},
+		{Name: "opens", Metric: "fault_breaker_opens_total", Max: 0},
+	})
 
 	base := time.Unix(1000, 0)
-	m.tick(base)
+	m.Observe(base, r.Snapshot(), true, 6)
 	r.Counter("pdns_reader_quarantined_total").Add(3)
-	m.tick(base.Add(time.Second))
-	res := m.Finalize()
-
-	if !Fired(res) {
-		t.Fatalf("results = %+v, want the quarantined rule fired", res)
+	first := m.Observe(base.Add(time.Second), r.Snapshot(), true, 7)
+	if len(first) != 1 || first[0].Rule != "quarantined" || first[0].WindowIndex != 7 {
+		t.Fatalf("tick firings = %+v, want one firing stamped window 7", first)
 	}
-	if len(hooked) != 1 || hooked[0].Rule != "quarantined" || hooked[0].WindowIndex != 7 {
-		t.Fatalf("onFiring saw %+v, want one firing stamped window 7", hooked)
+	r.Counter("fault_breaker_opens_total").Add(1)
+	res, last := m.Finalize(r.Snapshot(), 9)
+	if len(last) != 1 || last[0].Rule != "opens" || last[0].WindowIndex != 9 {
+		t.Fatalf("finalize firings = %+v, want only opens, stamped window 9", last)
 	}
+	stamps := map[string]int64{}
 	for _, rr := range res {
-		if rr.Fired && rr.WindowIndex != 7 {
-			t.Fatalf("final result %+v lost its window stamp", rr)
+		if rr.Fired {
+			stamps[rr.Rule] = rr.WindowIndex
 		}
+	}
+	if stamps["quarantined"] != 7 || stamps["opens"] != 9 {
+		t.Fatalf("final stamps = %v, want quarantined 7 and opens 9", stamps)
 	}
 	var events strings.Builder
 	if err := elog.WriteJSONL(&events); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(events.String(), `{"key":"window_index","value":"7"}`) {
-		t.Fatalf("health event lacks window_index:\n%s", events.String())
+	for _, want := range []string{`{"key":"window_index","value":"7"}`, `{"key":"window_index","value":"9"}`} {
+		if !strings.Contains(events.String(), want) {
+			t.Fatalf("health events lack %s:\n%s", want, events.String())
+		}
 	}
-	// Unwired monitors stay exactly as before: no stamp, no attribute.
-	var nilMon *Monitor
-	nilMon.SetWindowIndex(func() int64 { return 1 })
-	nilMon.SetOnFiring(func(Result) {})
+
+	// Without a timeline: no stamp, no attribute.
+	elog2 := obs.NewEventLog()
+	m2 := NewMonitor(elog2, []Rule{{Name: "quarantined", Metric: "pdns_reader_quarantined_total", Max: 0}})
+	if res, _ := m2.Finalize(r.Snapshot(), -1); !Fired(res) || res[0].WindowIndex != 0 {
+		t.Fatalf("untimed results = %+v, want fired and unstamped", res)
+	}
+	events.Reset()
+	elog2.WriteJSONL(&events)
+	if strings.Contains(events.String(), "window_index") {
+		t.Fatalf("untimed health event carries window_index:\n%s", events.String())
+	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -34,35 +32,29 @@ type ResourceStats struct {
 	GCPauseP99NS int64 `json:"gc_pause_p99_ns,omitempty"`
 }
 
-// ResourceSampler snapshots process runtime state (heap in use, cumulative
-// allocations, GC pauses, goroutine count, RSS) on a fixed interval while a
-// run executes. Each tick it publishes the current readings as gauges into
-// the registry, appends one EventResource record to the event log, and folds
-// the reading into the current stage's high-water marks. Like the rest of
-// the package a nil *ResourceSampler is a valid no-op, so callers can wire
-// it unconditionally and let the enabling flag decide whether it exists.
+// ResourceSampler folds runtime readings (heap in use, cumulative
+// allocations, GC pauses, goroutine count, RSS) into per-stage high-water
+// marks. It owns no goroutine and no clock: the run's observer takes one
+// reading per tick and hands it over with the tick's time. Each sample
+// publishes the readings as gauges into the registry, appends one
+// EventResource record to the event log, and updates the current stage's
+// marks. A nil *ResourceSampler is a valid no-op — the observer holds one
+// when sampling is off. Not safe for concurrent use; the observer
+// serialises every call.
 //
 // The sampler touches only the registry and the event log — the two
 // machine-varying surfaces of a run — so enabling it cannot move a run ID,
 // a golden artifact fingerprint, or any other deterministic output.
 type ResourceSampler struct {
-	interval time.Duration
-	reg      *Registry
-	elog     *EventLog
+	reg  *Registry
+	elog *EventLog
 
-	stage atomic.Value // string: the run's current stage
-
-	mu        sync.Mutex
 	stats     map[string]*ResourceStats
 	order     []string // stage first-seen order
 	pauses    map[string][]uint64
 	lastGC    uint32
 	lastAlloc uint64
-	started   bool
-	peaks     ResourcePeaks // since the last TakePeaks call
-
-	stop chan struct{}
-	done chan struct{}
+	lastAt    time.Time
 }
 
 // maxPausesPerStage bounds the per-stage GC pause buffer; beyond it the
@@ -71,130 +63,57 @@ type ResourceSampler struct {
 // the sampler into the leak it is supposed to find.
 const maxPausesPerStage = 4096
 
-// NewResourceSampler builds a sampler over reg and elog ticking every
-// interval. A non-positive interval returns nil — the no-op sampler — which
-// is how "-resource-interval 0" disables sampling.
-func NewResourceSampler(reg *Registry, elog *EventLog, interval time.Duration) *ResourceSampler {
-	if interval <= 0 {
-		return nil
-	}
-	s := &ResourceSampler{
-		interval: interval,
-		reg:      reg,
-		elog:     elog,
-		stats:    make(map[string]*ResourceStats),
-		pauses:   make(map[string][]uint64),
-	}
-	s.stage.Store("(startup)")
-	return s
+// ResourceReading is one observation of the process runtime.
+type ResourceReading struct {
+	Mem        runtime.MemStats
+	Goroutines int64
+	RSS        int64 // 0 on platforms without an RSS reader (see rssBytes)
 }
 
-// SetStage names the stage subsequent samples are attributed to. Safe from
-// any goroutine; the pipeline calls it at each stage boundary.
-func (s *ResourceSampler) SetStage(name string) {
-	if s == nil || name == "" {
-		return
-	}
-	s.stage.Store(name)
+// ReadResources takes one reading of the process runtime.
+func ReadResources() ResourceReading {
+	var r ResourceReading
+	runtime.ReadMemStats(&r.Mem)
+	r.Goroutines = int64(runtime.NumGoroutine())
+	r.RSS = rssBytes()
+	return r
 }
 
-// Start launches the sampling goroutine and takes the baseline sample that
-// later deltas (alloc rate, GC count) are measured from. Stop ends it.
-func (s *ResourceSampler) Start() {
-	if s == nil || s.stop != nil {
-		return
+// NewResourceSampler builds a sampler over reg and elog whose first sample
+// measures allocations and collections from base, taken at at.
+func NewResourceSampler(reg *Registry, elog *EventLog, base ResourceReading, at time.Time) *ResourceSampler {
+	return &ResourceSampler{
+		reg:       reg,
+		elog:      elog,
+		stats:     make(map[string]*ResourceStats),
+		pauses:    make(map[string][]uint64),
+		lastGC:    base.Mem.NumGC,
+		lastAlloc: base.Mem.TotalAlloc,
+		lastAt:    at,
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	s.mu.Lock()
-	s.lastGC, s.lastAlloc = ms.NumGC, ms.TotalAlloc
-	s.started = true
-	s.mu.Unlock()
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go func() {
-		defer close(s.done)
-		t := time.NewTicker(s.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.sample(true)
-			}
-		}
-	}()
 }
 
-// Stop halts the sampler, takes one final sample (so short stages are never
-// missed entirely), and returns the per-stage high-water marks in stage
-// first-seen order. Safe without Start and at most once effective.
-func (s *ResourceSampler) Stop() []ResourceStats {
-	if s == nil {
-		return nil
-	}
-	if s.stop != nil {
-		select {
-		case <-s.stop:
-		default:
-			close(s.stop)
-			<-s.done
-		}
-	}
-	s.sample(false)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ResourceStats, 0, len(s.order))
-	for _, name := range s.order {
-		st := *s.stats[name]
-		st.GCPauseP99NS = pauseP99(s.pauses[name])
-		out = append(out, st)
-	}
-	return out
-}
-
-// ResourcePeaks is a window-sized high-water-mark record: the worst reading
-// of each dimension since the last TakePeaks call. The timeline recorder
-// folds one into every window.
+// ResourcePeaks is the resource record of one timeline window: the
+// reading the observer took when it closed the window.
 type ResourcePeaks struct {
 	HeapInuseBytes int64 `json:"heap_inuse_bytes,omitempty"`
 	RSSBytes       int64 `json:"rss_bytes,omitempty"`
 	Goroutines     int64 `json:"goroutines,omitempty"`
 }
 
-// TakePeaks returns the high-water marks observed since the previous call
-// (or since Start) and resets them, so consecutive calls partition the
-// sample stream into disjoint windows. Returns the zero value — and ok=false
-// — when no sample landed in the window or the sampler is nil/disabled.
-func (s *ResourceSampler) TakePeaks() (ResourcePeaks, bool) {
+// Sample folds reading r, taken at now while stage was current, into the
+// stage's marks, publishes the gauges, logs one EventResource record, and
+// returns the reading's window record. The allocation rate gauge divides by
+// the time since the previous sample, so a short final sample reports its
+// true rate.
+func (s *ResourceSampler) Sample(now time.Time, stage string, r ResourceReading) ResourcePeaks {
 	if s == nil {
-		return ResourcePeaks{}, false
+		return ResourcePeaks{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := s.peaks
-	s.peaks = ResourcePeaks{}
-	ok := p != (ResourcePeaks{})
-	return p, ok
-}
-
-// sample takes one reading: gauges into the registry, one event into the
-// log (when emit is set), and the current stage's high-water marks.
-func (s *ResourceSampler) sample(emit bool) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	goroutines := int64(runtime.NumGoroutine())
-	rss := rssBytes()
-	stage, _ := s.stage.Load().(string)
-
-	s.mu.Lock()
-	if !s.started {
-		s.lastGC, s.lastAlloc = ms.NumGC, ms.TotalAlloc
-		s.started = true
-	}
+	ms := &r.Mem
 	allocDelta := int64(ms.TotalAlloc - s.lastAlloc)
 	gcDelta := int64(ms.NumGC - s.lastGC)
+	elapsed := now.Sub(s.lastAt)
 	// Harvest the pauses of collections completed since the last sample
 	// from MemStats' 256-entry circular pause buffer; a burst past 256
 	// keeps the newest.
@@ -208,27 +127,13 @@ func (s *ResourceSampler) sample(emit bool) {
 		s.stats[stage] = st
 		s.order = append(s.order, stage)
 	}
+	heap := int64(ms.HeapInuse)
 	st.Samples++
-	if h := int64(ms.HeapInuse); h > st.MaxHeapInuseBytes {
-		st.MaxHeapInuseBytes = h
-	}
-	if rss > st.MaxRSSBytes {
-		st.MaxRSSBytes = rss
-	}
-	if goroutines > st.MaxGoroutines {
-		st.MaxGoroutines = goroutines
-	}
+	st.MaxHeapInuseBytes = max(st.MaxHeapInuseBytes, heap)
+	st.MaxRSSBytes = max(st.MaxRSSBytes, r.RSS)
+	st.MaxGoroutines = max(st.MaxGoroutines, r.Goroutines)
 	st.AllocBytes += allocDelta
 	st.GCCount += gcDelta
-	if h := int64(ms.HeapInuse); h > s.peaks.HeapInuseBytes {
-		s.peaks.HeapInuseBytes = h
-	}
-	if rss > s.peaks.RSSBytes {
-		s.peaks.RSSBytes = rss
-	}
-	if goroutines > s.peaks.Goroutines {
-		s.peaks.Goroutines = goroutines
-	}
 	for i := int64(0); i < newPauses; i++ {
 		p := ms.PauseNs[(uint32(int64(ms.NumGC)-i)+255)%256]
 		s.pauses[stage] = append(s.pauses[stage], p)
@@ -236,31 +141,41 @@ func (s *ResourceSampler) sample(emit bool) {
 	if n := len(s.pauses[stage]); n > maxPausesPerStage {
 		s.pauses[stage] = s.pauses[stage][n-maxPausesPerStage:]
 	}
-	pauseP99 := pauseP99(s.pauses[stage])
-	s.lastGC, s.lastAlloc = ms.NumGC, ms.TotalAlloc
-	s.mu.Unlock()
+	s.lastGC, s.lastAlloc, s.lastAt = ms.NumGC, ms.TotalAlloc, now
 
-	s.reg.Gauge("proc_heap_inuse_bytes").Set(int64(ms.HeapInuse))
+	s.reg.Gauge("proc_heap_inuse_bytes").Set(heap)
 	s.reg.Gauge("proc_heap_alloc_bytes_total").Set(int64(ms.TotalAlloc))
-	s.reg.Gauge("proc_goroutines").Set(goroutines)
+	s.reg.Gauge("proc_goroutines").Set(r.Goroutines)
 	s.reg.Gauge("proc_gc_total").Set(int64(ms.NumGC))
-	if rss > 0 {
-		s.reg.Gauge("proc_rss_bytes").Set(rss)
+	if r.RSS > 0 {
+		s.reg.Gauge("proc_rss_bytes").Set(r.RSS)
 	}
-	if s.interval > 0 {
-		s.reg.Gauge("proc_alloc_bytes_per_s").Set(int64(float64(allocDelta) / s.interval.Seconds()))
+	if elapsed > 0 {
+		s.reg.Gauge("proc_alloc_bytes_per_s").Set(int64(float64(allocDelta) / elapsed.Seconds()))
 	}
+	s.elog.Emit(EventResource, stage,
+		Attr{Key: "heap_inuse_bytes", Value: fmt.Sprint(ms.HeapInuse)},
+		Attr{Key: "rss_bytes", Value: fmt.Sprint(r.RSS)},
+		Attr{Key: "goroutines", Value: fmt.Sprint(r.Goroutines)},
+		Attr{Key: "num_gc", Value: fmt.Sprint(ms.NumGC)},
+		Attr{Key: "gc_pause_p99_ns", Value: fmt.Sprint(pauseP99(s.pauses[stage]))},
+		Attr{Key: "alloc_bytes_delta", Value: fmt.Sprint(allocDelta)},
+	)
+	return ResourcePeaks{HeapInuseBytes: heap, RSSBytes: r.RSS, Goroutines: r.Goroutines}
+}
 
-	if emit {
-		s.elog.Emit(EventResource, stage,
-			Attr{Key: "heap_inuse_bytes", Value: fmt.Sprint(ms.HeapInuse)},
-			Attr{Key: "rss_bytes", Value: fmt.Sprint(rss)},
-			Attr{Key: "goroutines", Value: fmt.Sprint(goroutines)},
-			Attr{Key: "num_gc", Value: fmt.Sprint(ms.NumGC)},
-			Attr{Key: "gc_pause_p99_ns", Value: fmt.Sprint(pauseP99)},
-			Attr{Key: "alloc_bytes_delta", Value: fmt.Sprint(allocDelta)},
-		)
+// Stats returns the per-stage high-water marks in stage first-seen order.
+func (s *ResourceSampler) Stats() []ResourceStats {
+	if s == nil {
+		return nil
 	}
+	out := make([]ResourceStats, 0, len(s.order))
+	for _, name := range s.order {
+		st := *s.stats[name]
+		st.GCPauseP99NS = pauseP99(s.pauses[name])
+		out = append(out, st)
+	}
+	return out
 }
 
 // pauseP99 is the p99 (nearest-rank) of a pause sample set, 0 when empty.

@@ -8,42 +8,47 @@ import (
 )
 
 func TestResourceSamplerDisabledIsNil(t *testing.T) {
-	if s := NewResourceSampler(NewRegistry(), NewEventLog(), 0); s != nil {
-		t.Fatal("interval 0 must return the nil no-op sampler")
-	}
-	// The nil sampler is a full no-op: every method is callable.
+	// The nil sampler — what the observer holds when sampling is off — is
+	// a full no-op: every method is callable.
 	var s *ResourceSampler
-	s.SetStage("x")
-	s.Start()
-	if got := s.Stop(); got != nil {
-		t.Fatalf("nil sampler Stop: want nil, got %v", got)
+	if p := s.Sample(time.Now(), "x", ReadResources()); p != (ResourcePeaks{}) {
+		t.Fatalf("nil sampler Sample = %+v, want zero", p)
+	}
+	if got := s.Stats(); got != nil {
+		t.Fatalf("nil sampler Stats: want nil, got %v", got)
 	}
 }
 
 func TestResourceSamplerCollectsStats(t *testing.T) {
 	reg := NewRegistry()
 	elog := NewEventLog()
-	s := NewResourceSampler(reg, elog, time.Millisecond)
-	s.Start()
-	s.SetStage("identify")
-	// Allocate visibly so the alloc delta and heap gauges move; the sleeps
-	// give the millisecond ticker dozens of chances to fire per stage.
+	at := time.Unix(1000, 0)
+	s := NewResourceSampler(reg, elog, ReadResources(), at)
+	// Allocate visibly between samples so the alloc delta and heap gauges
+	// move.
 	sink := make([][]byte, 0, 64)
 	for i := 0; i < 25; i++ {
 		sink = append(sink, make([]byte, 1<<16))
-		time.Sleep(2 * time.Millisecond)
+		at = at.Add(2 * time.Millisecond)
+		s.Sample(at, "identify", ReadResources())
 	}
 	_ = sink
-	s.SetStage("probe")
-	time.Sleep(25 * time.Millisecond)
-	stats := s.Stop()
+	at = at.Add(25 * time.Millisecond)
+	p := s.Sample(at, "probe", ReadResources())
+	if p.HeapInuseBytes <= 0 || p.Goroutines <= 0 {
+		t.Fatalf("sample window record = %+v, want positive heap and goroutines", p)
+	}
+	stats := s.Stats()
 
-	if len(stats) == 0 {
-		t.Fatal("no per-stage stats collected")
+	if len(stats) != 2 {
+		t.Fatalf("stats = %v, want identify and probe", stats)
 	}
 	byStage := map[string]ResourceStats{}
 	for _, st := range stats {
 		byStage[st.Stage] = st
+	}
+	if byStage["identify"].Samples != 25 || byStage["identify"].AllocBytes < 25<<16 {
+		t.Fatalf("identify = %+v, want 25 samples and >= %d allocated bytes", byStage["identify"], 25<<16)
 	}
 	for _, stage := range []string{"identify", "probe"} {
 		st, ok := byStage[stage]
@@ -73,37 +78,61 @@ func TestResourceSamplerCollectsStats(t *testing.T) {
 			resourceEvents++
 		}
 	}
-	if resourceEvents == 0 {
-		t.Fatal("no EventResource records emitted")
+	if resourceEvents != 26 {
+		t.Fatalf("EventResource records = %d, want one per sample (26)", resourceEvents)
 	}
 }
 
+// TestResourceSamplerStopWithoutStart: stats before any sample are empty,
+// not a panic, and a single sample yields exactly one row.
 func TestResourceSamplerStopWithoutStart(t *testing.T) {
-	s := NewResourceSampler(NewRegistry(), NewEventLog(), time.Millisecond)
-	stats := s.Stop() // must not hang or panic; takes the one final sample
-	if len(stats) != 1 || stats[0].Samples != 1 {
-		t.Fatalf("want exactly the final sample under the startup stage, got %v", stats)
+	at := time.Unix(1000, 0)
+	s := NewResourceSampler(NewRegistry(), NewEventLog(), ReadResources(), at)
+	if stats := s.Stats(); len(stats) != 0 {
+		t.Fatalf("stats before any sample = %v, want none", stats)
+	}
+	s.Sample(at.Add(time.Millisecond), "(startup)", ReadResources())
+	if stats := s.Stats(); len(stats) != 1 || stats[0].Samples != 1 {
+		t.Fatalf("want exactly the one sample under the startup stage, got %v", stats)
 	}
 }
 
-// TestResourceSamplerRace hammers the sampler from concurrent workers the
-// way a parallel pipeline stage does: stage flips and registry traffic from
-// 1, 2, and 8 goroutines while the ticker samples. Run under -race via the
-// Makefile race target.
+// TestResourceSamplerRace hammers the registry from concurrent workers the
+// way a parallel pipeline stage does — counter and gauge traffic from 1, 2,
+// and 8 goroutines — while one goroutine samples, as the observer does, and
+// publishes the proc_* gauges into the same registry. Run under -race via
+// the Makefile race target.
 func TestResourceSamplerRace(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			reg := NewRegistry()
-			s := NewResourceSampler(reg, NewEventLog(), 500*time.Microsecond)
-			s.Start()
+			at := time.Unix(1000, 0)
+			s := NewResourceSampler(reg, NewEventLog(), ReadResources(), at)
+			stop := make(chan struct{})
+			sampled := make(chan int)
+			go func() {
+				n := 0
+				for {
+					select {
+					case <-stop:
+						sampled <- n
+						return
+					default:
+					}
+					at = at.Add(500 * time.Microsecond)
+					s.Sample(at, fmt.Sprintf("stage-%d", n%3), ReadResources())
+					n++
+					time.Sleep(500 * time.Microsecond)
+				}
+			}()
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					for i := 0; i < 200; i++ {
-						s.SetStage(fmt.Sprintf("stage-%d", i%3))
 						reg.Counter("race_test_total").Inc()
+						reg.Gauge("proc_goroutines").Set(int64(i))
 						if i%10 == 0 {
 							time.Sleep(50 * time.Microsecond)
 						}
@@ -111,42 +140,13 @@ func TestResourceSamplerRace(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			stats := s.Stop()
-			if len(stats) == 0 {
+			close(stop)
+			if n := <-sampled; n == 0 {
+				t.Fatal("sampler never ran")
+			}
+			if len(s.Stats()) == 0 {
 				t.Fatal("no stats after concurrent sampling")
 			}
-			// Stop is idempotent even when raced after a first Stop.
-			_ = s.Stop()
 		})
-	}
-}
-
-// TestTakePeaksWindowed: TakePeaks hands back the high-water marks since the
-// previous call and resets them, so consecutive calls see disjoint windows;
-// an empty window and a nil sampler both report ok=false.
-func TestTakePeaksWindowed(t *testing.T) {
-	var nilSampler *ResourceSampler
-	if p, ok := nilSampler.TakePeaks(); ok || p != (ResourcePeaks{}) {
-		t.Fatalf("nil sampler TakePeaks = %+v ok=%v, want zero/false", p, ok)
-	}
-
-	s := NewResourceSampler(NewRegistry(), NewEventLog(), time.Hour)
-	if _, ok := s.TakePeaks(); ok {
-		t.Fatal("TakePeaks before any sample reported ok")
-	}
-	s.sample(false)
-	p, ok := s.TakePeaks()
-	if !ok {
-		t.Fatal("TakePeaks after a sample reported no data")
-	}
-	if p.HeapInuseBytes <= 0 || p.Goroutines <= 0 {
-		t.Fatalf("peaks = %+v, want positive heap and goroutine readings", p)
-	}
-	if _, ok := s.TakePeaks(); ok {
-		t.Fatal("second TakePeaks without a new sample should be empty")
-	}
-	s.sample(false)
-	if _, ok := s.TakePeaks(); !ok {
-		t.Fatal("TakePeaks after a fresh sample should see data again")
 	}
 }

@@ -56,7 +56,7 @@ const (
 )
 
 // detector holds per-series EWMA state across windows. Not safe for
-// concurrent use; the recorder calls it under its own lock.
+// concurrent use; the observer calls it under its own lock.
 type detector struct {
 	watch  map[string]bool
 	series map[string]*seriesState

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Clock abstracts "when is it and when does the next window close" so the
-// recorder runs identically on wall time today and on the roadmap's
+// Clock abstracts "when is it and when does the next tick fire" so the
+// observer runs identically on wall time today and on the roadmap's
 // time-compressed simulated clock tomorrow. Production code passes Wall();
 // tests pass a FakeClock and step it explicitly.
 type Clock interface {
@@ -14,7 +14,7 @@ type Clock interface {
 	NewTicker(d time.Duration) Ticker
 }
 
-// Ticker is the clock-agnostic slice of time.Ticker the recorder needs.
+// Ticker is the clock-agnostic slice of time.Ticker the observer needs.
 type Ticker interface {
 	Chan() <-chan time.Time
 	Stop()
@@ -25,7 +25,7 @@ func Wall() Clock { return wallClock{} }
 
 type wallClock struct{}
 
-func (wallClock) Now() time.Time                  { return time.Now() }
+func (wallClock) Now() time.Time                   { return time.Now() }
 func (wallClock) NewTicker(d time.Duration) Ticker { return wallTicker{time.NewTicker(d)} }
 
 type wallTicker struct{ t *time.Ticker }

@@ -14,9 +14,9 @@ import (
 //	/dash/windows  all windows captured so far, as a JSON array
 //	/dash/sse      Server-Sent Events: history replay then live windows
 //
-// rec may be nil (timeline disabled); the endpoints then say so instead of
+// st may be nil (timeline disabled); the endpoints then say so instead of
 // 404ing, so the index link never dangles.
-func DashMounts(rec *Recorder) []obs.Mount {
+func DashMounts(st *Stream) []obs.Mount {
 	return []obs.Mount{
 		{Pattern: "/dash", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -26,22 +26,22 @@ func DashMounts(rec *Recorder) []obs.Mount {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			ws := rec.Windows()
+			ws := st.Windows()
 			if ws == nil {
 				ws = []Window{}
 			}
 			enc.Encode(ws)
 		})},
 		{Pattern: "/dash/sse", Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			serveSSE(rec, w, r)
+			serveSSE(st, w, r)
 		})},
 	}
 }
 
 // serveSSE replays the windows captured so far, then streams each new
 // window as it closes. Each event is one `data:` line holding the window's
-// JSON. A disabled recorder sends a single "disabled" comment and returns.
-func serveSSE(rec *Recorder, w http.ResponseWriter, r *http.Request) {
+// JSON. A disabled timeline sends a single "disabled" comment and returns.
+func serveSSE(st *Stream, w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "sse: streaming unsupported", http.StatusInternalServerError)
@@ -50,14 +50,14 @@ func serveSSE(rec *Recorder, w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
-	if rec == nil {
-		w.Write([]byte(": timeline disabled (-timeline-interval 0)\n\n"))
+	if st == nil {
+		w.Write([]byte(": timeline disabled (-sample-interval 0)\n\n"))
 		fl.Flush()
 		return
 	}
 	// Subscribe before replaying so no window slips between replay and
 	// stream; the dashboard dedupes on index.
-	ch, cancel := rec.Subscribe(64)
+	ch, cancel := st.Subscribe(64)
 	defer cancel()
 	send := func(win Window) bool {
 		b, err := json.Marshal(win)
@@ -70,7 +70,7 @@ func serveSSE(rec *Recorder, w http.ResponseWriter, r *http.Request) {
 		fl.Flush()
 		return true
 	}
-	for _, win := range rec.Windows() {
+	for _, win := range st.Windows() {
 		if !send(win) {
 			return
 		}

@@ -19,13 +19,14 @@ import (
 // replays captured windows then streams new ones as they close.
 func TestDashServesLiveWindowsOverSSE(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := NewRecorder(reg, Options{Interval: time.Second, Clock: NewFakeClock(t0)})
-	rec.Start()
-	defer rec.Stop()
+	st := NewStream()
+	o := NewObserver(reg, Options{Interval: time.Second, Clock: NewFakeClock(t0), Stream: st})
+	o.Start()
+	defer o.Stop()
 	reg.Counter("pdns_records_total").Add(7)
-	rec.CaptureNow()
+	o.tick(t0, false)
 
-	srv := httptest.NewServer(obs.Handler(reg, nil, nil, DashMounts(rec)...))
+	srv := httptest.NewServer(obs.Handler(reg, nil, nil, DashMounts(st)...))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/dash")
@@ -95,13 +96,13 @@ func TestDashServesLiveWindowsOverSSE(t *testing.T) {
 		t.Fatalf("replayed window = %+v", w)
 	}
 	reg.Counter("pdns_records_total").Add(3)
-	rec.CaptureNow()
+	o.tick(t0, false)
 	if w := next(); w.Index != 1 || w.Counters["pdns_records_total"] != 3 {
 		t.Fatalf("live window = %+v", w)
 	}
 }
 
-// TestDashDisabled: a nil recorder serves an explanatory SSE comment and an
+// TestDashDisabled: a nil stream serves an explanatory SSE comment and an
 // empty window list instead of crashing or 404ing.
 func TestDashDisabled(t *testing.T) {
 	srv := httptest.NewServer(obs.Handler(obs.NewRegistry(), nil, nil, DashMounts(nil)...))

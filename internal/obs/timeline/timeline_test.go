@@ -2,12 +2,14 @@ package timeline
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/health"
 	"repro/internal/obs"
 )
 
@@ -21,8 +23,9 @@ func driveRun(t *testing.T, workers int) []Window {
 	t.Helper()
 	reg := obs.NewRegistry()
 	clock := NewFakeClock(t0)
-	rec := NewRecorder(reg, Options{Interval: time.Second, Clock: clock})
-	rec.Start()
+	st := NewStream()
+	o := NewObserver(reg, Options{Interval: time.Second, Clock: clock, Stream: st})
+	o.Start()
 
 	// Phase 0: clean ingest. Phase 1: clean probe. Phase 2: faults appear
 	// (activation). Phase 3: fault burst (drift material for later phases).
@@ -37,7 +40,7 @@ func driveRun(t *testing.T, workers int) []Window {
 		{"probe", 300, 60},
 	}
 	for _, ph := range phases {
-		rec.SetStage(ph.stage)
+		o.SetStage(ph.stage)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -55,22 +58,22 @@ func driveRun(t *testing.T, workers int) []Window {
 			}(w)
 		}
 		wg.Wait()
-		want := len(rec.Windows()) + 1
+		want := len(st.Windows()) + 1
 		clock.Advance(time.Second)
-		waitWindows(t, rec, want)
+		waitWindows(t, st, want)
 	}
-	return rec.Stop()
+	return o.Stop().Windows
 }
 
-// waitWindows blocks until the recorder has at least n windows; the fake
-// clock delivers ticks synchronously but the capture itself runs on the
-// recorder goroutine.
-func waitWindows(t *testing.T, rec *Recorder, n int) {
+// waitWindows blocks until the stream has at least n windows; the fake
+// clock delivers ticks synchronously but the sample itself runs on the
+// observer goroutine.
+func waitWindows(t *testing.T, st *Stream, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for len(rec.Windows()) < n {
+	for len(st.Windows()) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %d windows (have %d)", n, len(rec.Windows()))
+			t.Fatalf("timed out waiting for %d windows (have %d)", n, len(st.Windows()))
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -123,6 +126,179 @@ func TestWorkerInvariantWindows(t *testing.T) {
 	}
 	if got := base[0].Stages; len(got) != 1 || got[0] != "ingest" {
 		t.Fatalf("window 0 stages = %v, want [ingest]", got)
+	}
+}
+
+// fakeResources swaps the observer's runtime reading for a scripted one —
+// every call allocates another step bytes — so whole windows, proc_*
+// gauges included, repeat byte for byte.
+func fakeResources(t *testing.T, step uint64) {
+	t.Helper()
+	var n uint64
+	orig := readResources
+	readResources = func() obs.ResourceReading {
+		var r obs.ResourceReading
+		r.Mem.TotalAlloc = n * step
+		r.Mem.HeapInuse = 4<<20 + n*step
+		r.Goroutines = 10
+		n++
+		return r
+	}
+	t.Cleanup(func() { readResources = orig })
+}
+
+// scriptedHealthRun drives an observer through a fixed schedule of registry
+// deltas on a fake clock, one 250ms window per phase, and returns what it
+// recorded plus the health events it logged.
+func scriptedHealthRun(t *testing.T) (Report, []obs.Event) {
+	t.Helper()
+	fakeResources(t, 1<<20)
+	reg := obs.NewRegistry()
+	elog := obs.NewEventLog()
+	clock := NewFakeClock(t0)
+	st := NewStream()
+	o := NewObserver(reg, Options{
+		Interval: 250 * time.Millisecond, Clock: clock, Stream: st, Events: elog,
+		Rules: []health.Rule{
+			{Name: "resets", Metric: "fault_resets_injected_total", Max: 0},
+			{Name: "conn-rate", Metric: "probe_outcomes_total", Match: map[string]string{"outcome": "conn"},
+				Per: "provider", Den: "probe_outcomes_total", Max: 0.02, MinSamples: 50},
+			{Name: "feed-drop-rate", Metric: "pdns_records_dropped_total", Den: "pdns_records_scanned_total",
+				Max: 0.001, MinSamples: 1000},
+		},
+	})
+	o.Start()
+	outcomes := reg.CounterVec("probe_outcomes_total", "provider", "outcome")
+	phases := []func(){
+		func() { outcomes.With("aws", "ok").Add(300) },
+		func() { outcomes.With("aws", "ok").Add(300) },
+		func() { reg.Counter("fault_resets_injected_total").Add(6) },                         // resets fires in window 2
+		func() { outcomes.With("gcp", "ok").Add(100); outcomes.With("gcp", "conn").Add(10) }, // conn-rate/gcp in 3
+		func() { outcomes.With("aws", "conn").Add(1) },                                       // under every bound: no firing in 4
+	}
+	for i, phase := range phases {
+		o.SetStage(fmt.Sprintf("phase-%d", i))
+		phase()
+		clock.Advance(250 * time.Millisecond)
+		waitWindows(t, st, i+1)
+	}
+	// The tail: drops after the last tick fire at Stop, in the tail window.
+	reg.Counter("pdns_records_scanned_total").Add(2000)
+	reg.Counter("pdns_records_dropped_total").Add(50)
+	clock.Advance(100 * time.Millisecond)
+	rep := o.Stop()
+	var events []obs.Event
+	for _, e := range elog.Events() {
+		if e.Type == obs.EventHealth {
+			e.TUS = 0 // the event clock is wall time, not the schedule's
+			events = append(events, e)
+		}
+	}
+	return rep, events
+}
+
+// TestHealthFiringsLandOnWindows pins breach attribution under the fake
+// clock: each health firing lands on the window whose closing tick saw it,
+// with a matching window_index event attribute, and two identical
+// schedules give byte-equal windows, health tables, and health events.
+func TestHealthFiringsLandOnWindows(t *testing.T) {
+	rep, events := scriptedHealthRun(t)
+	want := map[int64]string{2: "resets", 3: "conn-rate/gcp", 5: "feed-drop-rate"}
+	if len(rep.Windows) != 6 {
+		t.Fatalf("windows = %d, want 5 ticked + tail", len(rep.Windows))
+	}
+	for _, w := range rep.Windows {
+		var got []string
+		for _, b := range w.Breaches {
+			name := b.Rule
+			if b.Group != "" {
+				name += "/" + b.Group
+			}
+			got = append(got, name)
+		}
+		if exp, ok := want[w.Index]; ok != (len(got) == 1) || (ok && got[0] != exp) {
+			t.Fatalf("window %d breaches = %v, want %q", w.Index, got, exp)
+		}
+		if w.Resources == nil || w.Resources.HeapInuseBytes == 0 {
+			t.Fatalf("window %d has no resource reading", w.Index)
+		}
+	}
+	fired := map[string]int64{}
+	for _, h := range rep.Health {
+		if h.Fired {
+			name := h.Rule
+			if h.Group != "" {
+				name += "/" + h.Group
+			}
+			fired[name] = h.WindowIndex
+		}
+	}
+	if len(fired) != len(want) {
+		t.Fatalf("fired = %v, want %v", fired, want)
+	}
+	for idx, name := range want {
+		if fired[name] != idx {
+			t.Fatalf("%s stamped window %d, want %d", name, fired[name], idx)
+		}
+	}
+	if len(events) != len(want) {
+		t.Fatalf("health events = %+v, want %d", events, len(want))
+	}
+	for _, e := range events {
+		var group, idx string
+		for _, a := range e.Attrs {
+			switch a.Key {
+			case "group":
+				group = a.Value
+			case "window_index":
+				idx = a.Value
+			}
+		}
+		name := e.Name
+		if group != "" {
+			name += "/" + group
+		}
+		if idx != fmt.Sprint(fired[name]) {
+			t.Fatalf("event %s window_index = %q, want %d", name, idx, fired[name])
+		}
+	}
+
+	again, againEvents := scriptedHealthRun(t)
+	for _, pair := range [][2]any{{rep.Windows, again.Windows}, {rep.Health, again.Health}, {events, againEvents}} {
+		a, err := json.Marshal(pair[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("identical schedules diverged:\n%s\n%s", a, b)
+		}
+	}
+}
+
+// TestAllocRateUsesObserverClock: proc_alloc_bytes_per_s divides each
+// sample's allocation delta by the time since the previous sample on the
+// observer's clock, so the short final sample at Stop reports its true rate
+// rather than the delta over a whole interval.
+func TestAllocRateUsesObserverClock(t *testing.T) {
+	fakeResources(t, 1000) // every reading allocates another 1000 bytes
+	reg := obs.NewRegistry()
+	clock := NewFakeClock(t0)
+	st := NewStream()
+	o := NewObserver(reg, Options{Interval: 250 * time.Millisecond, Clock: clock, Stream: st})
+	o.Start()
+	clock.Advance(250 * time.Millisecond)
+	waitWindows(t, st, 1)
+	if got := reg.Snapshot().Gauges["proc_alloc_bytes_per_s"]; got != 4000 {
+		t.Fatalf("on-tick rate = %d B/s, want 1000 B / 250ms = 4000", got)
+	}
+	clock.Advance(50 * time.Millisecond) // before the next tick is due
+	o.Stop()
+	if got := reg.Snapshot().Gauges["proc_alloc_bytes_per_s"]; got != 20000 {
+		t.Fatalf("final rate = %d B/s, want 1000 B / 50ms = 20000", got)
 	}
 }
 
@@ -183,65 +359,70 @@ func TestVecSeriesWatched(t *testing.T) {
 	}
 }
 
-// TestRecorderLifecycle: nil recorder no-ops everywhere; breaches land in
-// the window they fired in; NoteBreach after Stop is dropped; Stop flushes
-// the tail and is idempotent.
-func TestRecorderLifecycle(t *testing.T) {
-	var nilRec *Recorder
-	nilRec.Start()
-	nilRec.SetStage("x")
-	nilRec.NoteBreach(Breach{Rule: "r"})
-	nilRec.CaptureNow()
-	if ws := nilRec.Stop(); ws != nil {
-		t.Fatalf("nil recorder windows = %v", ws)
-	}
-	if nilRec.WindowIndex() != 0 {
-		t.Fatal("nil recorder WindowIndex != 0")
-	}
-	if NewRecorder(obs.NewRegistry(), Options{Interval: 0}) != nil {
-		t.Fatal("zero interval should disable the recorder")
-	}
-
+// TestObserverLifecycle: with sampling off the observer records health
+// only — no windows, no resources — and still closes a given stream; with
+// sampling on, an off-schedule tick closes a window, Stop flushes the tail
+// window and the health table, and a second Stop returns the same report.
+func TestObserverLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := NewFakeClock(t0)
-	rec := NewRecorder(reg, Options{Interval: time.Second, Clock: clock})
-	rec.Start()
-	rec.NoteBreach(Breach{Rule: "probe-conn-error-rate", Group: "aws", Value: 0.5, Max: 0.02})
-	if idx := rec.WindowIndex(); idx != 0 {
-		t.Fatalf("pre-capture WindowIndex = %d", idx)
+	st := NewStream()
+	off := NewObserver(reg, Options{Clock: clock, Stream: st,
+		Rules: []health.Rule{{Name: "quarantined", Metric: "pdns_reader_quarantined_total", Max: 0}}})
+	off.Start()
+	reg.Counter("pdns_reader_quarantined_total").Inc()
+	clock.Advance(time.Second) // two health-only ticks
+	rep := off.Stop()
+	if len(rep.Windows) != 0 || len(rep.Resources) != 0 {
+		t.Fatalf("sampling off recorded %d windows, %d resource rows", len(rep.Windows), len(rep.Resources))
 	}
-	rec.CaptureNow()
-	if idx := rec.WindowIndex(); idx != 1 {
-		t.Fatalf("post-capture WindowIndex = %d", idx)
+	if !health.Fired(rep.Health) || rep.Health[0].WindowIndex != 0 {
+		t.Fatalf("health-only report = %+v, want the rule fired and unstamped", rep.Health)
 	}
+	if _, open := <-mustSubscribe(st); open {
+		t.Fatal("stream still open after Stop")
+	}
+
+	reg = obs.NewRegistry()
+	o := NewObserver(reg, Options{Interval: time.Second, Clock: clock})
+	o.Start()
+	o.SetStage("ingest")
+	o.tick(clock.Now(), false)
+	o.SetStage("probe")
 	reg.Counter("tail_total").Inc()
-	ws := rec.Stop()
+	rep = o.Stop()
+	ws := rep.Windows
 	if len(ws) != 2 {
 		t.Fatalf("windows = %d, want 2 (explicit + tail flush)", len(ws))
 	}
-	if len(ws[0].Breaches) != 1 || ws[0].Breaches[0].Group != "aws" {
-		t.Fatalf("window 0 breaches = %+v", ws[0].Breaches)
+	if ws[0].Stage != "ingest" || ws[1].Stage != "probe" || ws[1].Counters["tail_total"] != 1 {
+		t.Fatalf("windows = %+v, want ingest then a probe tail with the post-tick increment", ws)
 	}
-	if ws[1].Counters["tail_total"] != 1 {
-		t.Fatalf("tail window counters = %+v, want the post-capture increment", ws[1].Counters)
+	if ws[0].Resources == nil || ws[1].Resources == nil || len(rep.Resources) != 2 {
+		t.Fatalf("resources: windows %v/%v, stages %+v — want a reading per window and per stage", ws[0].Resources, ws[1].Resources, rep.Resources)
 	}
-	rec.NoteBreach(Breach{Rule: "late"}) // dropped
-	if again := rec.Stop(); len(again) != 2 {
-		t.Fatalf("second Stop windows = %d, want 2", len(again))
+	if again := o.Stop(); len(again.Windows) != 2 {
+		t.Fatalf("second Stop windows = %d, want 2", len(again.Windows))
 	}
 }
 
+func mustSubscribe(st *Stream) <-chan Window {
+	ch, _ := st.Subscribe(1)
+	return ch
+}
+
 // TestTickerDrivesCapture: the fake clock's ticker path produces windows
-// without any explicit CaptureNow.
+// without any off-schedule tick.
 func TestTickerDrivesCapture(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := NewFakeClock(t0)
-	rec := NewRecorder(reg, Options{Interval: 250 * time.Millisecond, Clock: clock})
-	rec.Start()
+	st := NewStream()
+	o := NewObserver(reg, Options{Interval: 250 * time.Millisecond, Clock: clock, Stream: st})
+	o.Start()
 	reg.Counter("c").Add(3)
 	clock.Advance(time.Second) // 4 ticks
-	waitWindows(t, rec, 4)
-	ws := rec.Stop()
+	waitWindows(t, st, 4)
+	ws := o.Stop().Windows
 	if len(ws) != 5 { // 4 ticked + tail flush
 		t.Fatalf("windows = %d, want 5", len(ws))
 	}
@@ -290,13 +471,14 @@ func TestJSONLRoundTrip(t *testing.T) {
 // closes on Stop; a canceled subscription stops receiving.
 func TestSubscribeStream(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := NewRecorder(reg, Options{Interval: time.Second, Clock: NewFakeClock(t0)})
-	rec.Start()
-	ch, cancel := rec.Subscribe(8)
+	st := NewStream()
+	o := NewObserver(reg, Options{Interval: time.Second, Clock: NewFakeClock(t0), Stream: st})
+	o.Start()
+	ch, cancel := st.Subscribe(8)
 	defer cancel()
-	rec.CaptureNow()
-	rec.CaptureNow()
-	rec.Stop() // flush + close
+	o.tick(t0, false)
+	o.tick(t0, false)
+	o.Stop() // flush + close
 	var got []int64
 	for w := range ch {
 		got = append(got, w.Index)
@@ -306,7 +488,7 @@ func TestSubscribeStream(t *testing.T) {
 		t.Fatalf("subscriber saw %v, want %v", got, want)
 	}
 	// Subscribing after Stop yields a closed channel immediately.
-	ch2, cancel2 := rec.Subscribe(1)
+	ch2, cancel2 := st.Subscribe(1)
 	defer cancel2()
 	if _, open := <-ch2; open {
 		t.Fatal("post-Stop subscription delivered a window")

@@ -9,7 +9,7 @@
 // Profiles observe a run, they never change one: everything captured here
 // lands on the machine-varying half of a run archive
 // (.runs/<id>/profiles/<stage>-<kind>.pb.gz), and the enabling flag is
-// excluded from the run-ID hash exactly like the resource sampler's
+// excluded from the run-ID hash exactly like the observer's sampling
 // interval, so toggling profiling cannot move a run ID or any golden
 // artifact fingerprint.
 package prof

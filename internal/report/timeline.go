@@ -16,7 +16,7 @@ func RenderTimeline(runID string, ws []timeline.Window) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Telemetry timeline — %s\n\n", runID)
 	if len(ws) == 0 {
-		b.WriteString("No timeline recorded (run with -timeline-interval to capture one).\n")
+		b.WriteString("No timeline recorded (run with -sample-interval to capture one).\n")
 		return b.String()
 	}
 	span := float64(ws[len(ws)-1].EndUS) / 1e6
@@ -44,7 +44,7 @@ func RenderTimeline(runID string, ws []timeline.Window) string {
 		}
 		fmt.Fprintf(&b, "| %d | %.2fs | %dms | %s | %d | %d | %s | %s | %d | %d |\n",
 			w.Index, float64(w.StartUS)/1e6, (w.EndUS-w.StartUS)/1000, stage,
-			w.Counters["pdns_records_total"], w.Counters["probe_requests_total"],
+			w.Counters["pdns_records_scanned_total"], w.Counters["probe_requests_total"],
 			p99, heap, len(w.Anomalies), len(w.Breaches))
 	}
 	if anoms > 0 {

@@ -101,7 +101,7 @@ type Timings struct {
 	Health    []health.Result   `json:"health,omitempty"`
 	// Resources is the per-stage runtime high-water-mark table the resource
 	// sampler collected (heap in use, RSS, goroutines, GC), empty when the
-	// run sampled with -resource-interval 0. Machine-varying by nature,
+	// run sampled with -sample-interval 0. Machine-varying by nature,
 	// which is exactly why it lives here and not in Summary.
 	Resources []obs.ResourceStats `json:"resources,omitempty"`
 	// Checkpoints is the run's crash-recovery lineage, nil when the run did
@@ -143,7 +143,7 @@ type Archive struct {
 	Profiles []prof.Snapshot
 	// Timeline is the run's windowed-telemetry sequence, written as
 	// timeline.jsonl on the machine-varying side; nil when the run did not
-	// record one (-timeline-interval 0).
+	// record one (-sample-interval 0).
 	Timeline []timeline.Window
 }
 
