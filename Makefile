@@ -1,6 +1,7 @@
 # Developer entry points; CI and the verify flow run `make check`.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test race vet bench bench-json bench-matrix report prof timeline chaos gate health crash crash-full check
 
@@ -14,12 +15,16 @@ test:
 # including the parallel substrate (emission workers, shard aggregators),
 # the run observer (internal/obs/timeline: health, resources and timeline
 # windows on one sampling goroutine, with its fake-clock tests), the
-# stage-boundary profile capturer, and the in-memory edge's conn pair.
+# stage-boundary profile capturer, the in-memory edge's conn pair, and the
+# lazily seeded per-function RNG source.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/runs/... ./internal/probe/... ./internal/faas/... ./internal/dnssim/... ./internal/pdns/... ./internal/workload/... ./internal/fault/... ./internal/checkpoint/... ./internal/health/... ./internal/prof/...
+	$(GO) test -race ./internal/obs/... ./internal/runs/... ./internal/probe/... ./internal/faas/... ./internal/dnssim/... ./internal/pdns/... ./internal/workload/... ./internal/fault/... ./internal/checkpoint/... ./internal/health/... ./internal/prof/... ./internal/lazyrand/...
 
+# go vet, then fail if any Go file in the tree is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$($(GOFMT) -l .)"; \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 # Tier-1 suite under the heavy fault-injection profile with the race detector:
 # every pipeline test runs against a seeded schedule of DNS failures, resets,
@@ -43,7 +48,7 @@ bench:
 # tee pipe, whose exit status would mask a bench failure), and the parse step
 # errors out when the capture contains zero benchmark lines.
 bench-json:
-	$(GO) test -bench 'EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|BatchCodec' \
+	$(GO) test -bench 'EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|BatchCodec|FunctionStream' \
 		-benchmem -count=5 -run=^$$ ./... > BENCH_pipeline.txt 2>&1 \
 		|| { cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1; }
 	cat BENCH_pipeline.txt

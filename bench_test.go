@@ -30,6 +30,7 @@ import (
 	"repro/internal/dnssim"
 	"repro/internal/faas"
 	"repro/internal/fault"
+	"repro/internal/lazyrand"
 	"repro/internal/obs"
 	"repro/internal/pdns"
 	"repro/internal/probe"
@@ -589,6 +590,36 @@ func BenchmarkEmitPDNS(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(n), "records/op")
+}
+
+// BenchmarkFunctionStream measures the emission RNG layer for one function:
+// reseed the shard's stream, as emitShardBatchCkpt does per function, then
+// draw 50 values, about the mean a function draws emitting its PDNS history
+// (43.5 at seed 1, scale 0.01; the median is 7). math-rand is the stdlib
+// source the streams are defined by; lazyrand yields the same values.
+func BenchmarkFunctionStream(b *testing.B) {
+	for _, src := range []struct {
+		name string
+		src  rand.Source
+	}{
+		{"math-rand", rand.NewSource(0)},
+		{"lazyrand", lazyrand.New(0)},
+	} {
+		b.Run(src.name, func(b *testing.B) {
+			rng := rand.New(src.src)
+			var sum int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rng.Seed(int64(i) * 0x5851f42d4c957f2d)
+				for d := 0; d < 50; d++ {
+					sum += rng.Int63()
+				}
+			}
+			if sum == 0 {
+				b.Fatal("no draws")
+			}
+		})
+	}
 }
 
 // benchWorkerCounts is the sweep used by the parallel-substrate benchmarks:

@@ -354,13 +354,9 @@ func IngressConcentration(records []pdns.Record, matcher *providers.Matcher) []R
 	reqs := map[key]int64{}
 	for i := range records {
 		r := &records[i]
-		in, ok := matcher.Identify(r.FQDN)
+		in, region, ok := matcher.IdentifyRegion(r.FQDN)
 		if !ok {
 			continue
-		}
-		region := ""
-		if p, ok := in.Parse(r.FQDN); ok {
-			region = p.Region
 		}
 		k := key{in.ID, region}
 		if nodes[k] == nil {

@@ -36,6 +36,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/health"
+	"repro/internal/lazyrand"
 	"repro/internal/obs"
 	"repro/internal/obs/timeline"
 	"repro/internal/pdns"
@@ -869,7 +870,7 @@ func probeConfig(cfg Config, pop *workload.Population, resolver *dnssim.Resolver
 		},
 		Metrics: reg,
 		Resolve: injector.WrapResolve(func(fqdn string) error {
-			rng := rand.New(rand.NewSource(int64(pdns.HashFQDN(fqdn))))
+			rng := rand.New(lazyrand.New(int64(pdns.HashFQDN(fqdn))))
 			_, err := resolver.Resolve(fqdn, rng)
 			return err
 		}),

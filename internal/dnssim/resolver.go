@@ -180,7 +180,7 @@ func (r *Resolver) finish(fqdn string, cl *cachedLookup) (*cachedLookup, *Policy
 }
 
 func (r *Resolver) buildLookup(fqdn string) *cachedLookup {
-	info, ok := r.matcher.Identify(fqdn)
+	info, region, ok := r.matcher.IdentifyRegion(fqdn)
 	if !ok {
 		cl := &cachedLookup{err: fmt.Errorf("dnssim: %q is not a function domain: %w", fqdn, ErrNXDomain)}
 		r.intern(cl, "unknown")
@@ -191,10 +191,6 @@ func (r *Resolver) buildLookup(fqdn string) *cachedLookup {
 		cl := &cachedLookup{err: fmt.Errorf("dnssim: no policy for %s", info.Name)}
 		r.intern(cl, info.Name)
 		return cl
-	}
-	region := ""
-	if p, ok := info.Parse(fqdn); ok {
-		region = p.Region
 	}
 	cl := &cachedLookup{pol: pol, region: region, name: info.Name, wildcard: info.WildcardDNS}
 	r.intern(cl, info.Name)

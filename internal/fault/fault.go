@@ -8,8 +8,10 @@
 //
 // Every fault decision is a pure function of (profile seed, FQDN): the
 // per-FQDN fault plan derives from pdns.HashFQDN(fqdn) xor the seed through
-// a splitmix64 stream, matching the RNG discipline of the parallel substrate
-// (workload.functionRNG). Two runs with the same chaos seed therefore inject
+// a splitmix64 stream. That is the keying of the parallel substrate's
+// per-function streams (workload.functionSeed), but the generator is this
+// package's own splitmix64, not the substrate's math/rand-compatible
+// source (package lazyrand). Two runs with the same chaos seed therefore inject
 // the identical fault schedule at any worker count or probe concurrency, so
 // resilience regressions are bisectable and degradation counts are
 // comparable across runs.

@@ -240,7 +240,7 @@ func (a *Aggregator) Add(r *Record) {
 		a.iWindow.Inc()
 		return
 	}
-	info, ok := a.matcher.Identify(r.FQDN)
+	info, region, ok := a.matcher.IdentifyRegion(r.FQDN)
 	if !ok {
 		a.iUnmatched.Inc()
 		return
@@ -251,7 +251,7 @@ func (a *Aggregator) Add(r *Record) {
 
 	fs := a.byFQDN[r.FQDN]
 	if fs == nil {
-		fs = a.newFQDNStats(r.FQDN, info.Region(r.FQDN), info.ID, r.PDate)
+		fs = a.newFQDNStats(r.FQDN, region, info.ID, r.PDate)
 	}
 	a.fold(fs, info.ID, r.RType, r.RData, r.RequestCnt, r.PDate)
 }

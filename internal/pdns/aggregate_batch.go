@@ -68,10 +68,7 @@ func (a *Aggregator) AddBatch(b *RecordBatch) {
 		if !id.checked {
 			id.checked = true
 			fqdn := a.symtab.Lookup(fsym)
-			if info, ok := a.matcher.Identify(fqdn); ok {
-				id.ok, id.info = true, info
-				id.region = info.Region(fqdn)
-			}
+			id.info, id.region, id.ok = a.matcher.IdentifyRegion(fqdn)
 		}
 		if !id.ok {
 			a.iUnmatched.Inc()

@@ -37,7 +37,24 @@ func NewMatcher(formats []*Info) *Matcher {
 // Identify returns the provider whose pattern matches fqdn.
 // ok is false when no registered provider matches.
 func (m *Matcher) Identify(fqdn string) (*Info, bool) {
+	in := m.match(normalizeFQDN(fqdn))
+	return in, in != nil
+}
+
+// IdentifyRegion is Identify plus the FQDN's region, exactly
+// Parse(fqdn).Region, from the one regex match: the region is read off the
+// matched string without matching it again.
+func (m *Matcher) IdentifyRegion(fqdn string) (in *Info, region string, ok bool) {
 	fqdn = normalizeFQDN(fqdn)
+	if in = m.match(fqdn); in == nil {
+		return nil, "", false
+	}
+	return in, in.regionOf(fqdn), true
+}
+
+// match returns the provider whose pattern matches the normalised fqdn, or
+// nil.
+func (m *Matcher) match(fqdn string) *Info {
 	// Walk candidate suffixes from shallow to deep: "on.aws" (2 labels) up
 	// to "functions.appdomain.cloud" etc. Most non-function domains miss
 	// the map on every depth and exit without touching a regex.
@@ -50,12 +67,12 @@ func (m *Matcher) Identify(fqdn string) (*Info, bool) {
 		idx = dot
 		if in, ok := m.bySuffix[fqdn[idx+1:]]; ok {
 			if in.re.MatchString(fqdn) {
-				return in, true
+				return in
 			}
-			return nil, false // right suffix, wrong structure
+			return nil // right suffix, wrong structure
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // IdentifySlow matches fqdn by trying each provider regex in turn, without
@@ -73,17 +90,23 @@ func (m *Matcher) IdentifySlow(fqdn string) (*Info, bool) {
 // Formats returns the formats this matcher was built over.
 func (m *Matcher) Formats() []*Info { return m.infos }
 
+// normalizeFQDN is strings.ToLower(strings.TrimSuffix(fqdn, ".")), the
+// normalisation Parse and Region apply, without ToLower's call on the
+// common already-lowercase ASCII name.
 func normalizeFQDN(fqdn string) string {
 	fqdn = strings.TrimSuffix(fqdn, ".")
-	if hasUpper(fqdn) {
+	if mayFold(fqdn) {
 		fqdn = strings.ToLower(fqdn)
 	}
 	return fqdn
 }
 
-func hasUpper(s string) bool {
+// mayFold reports whether strings.ToLower could change s: it has an ASCII
+// capital or any non-ASCII byte (Unicode case folding can even turn a
+// multi-byte rune into an ASCII letter, as U+212A KELVIN SIGN into 'k').
+func mayFold(s string) bool {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c >= 'A' && c <= 'Z' {
+		if c := s[i]; c >= 'A' && c <= 'Z' || c >= 0x80 {
 			return true
 		}
 	}

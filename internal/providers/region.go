@@ -4,17 +4,12 @@ import (
 	"strings"
 )
 
-// Region extracts the region component of a function FQDN, or "" when the
-// provider's format does not embed one (or the FQDN does not match the
-// provider's pattern). It returns exactly Parse(fqdn).Region — the
-// per-format equivalence is pinned by TestRegionMatchesParse — but only
-// ever returns substrings of the input, so the aggregation hot path can
-// resolve regions without Parse's per-component allocations.
-func (in *Info) Region(fqdn string) string {
-	fqdn = strings.ToLower(strings.TrimSuffix(fqdn, "."))
-	if !in.re.MatchString(fqdn) {
-		return ""
-	}
+// regionOf returns the region component of a normalised function FQDN that
+// in's pattern has already matched, or "" when the format does not embed
+// one: exactly Parse(fqdn).Region, pinned by TestRegionMatchesParse.
+// It only ever returns substrings of its input, so the aggregation hot path
+// resolves regions without Parse's per-component allocations.
+func (in *Info) regionOf(fqdn string) string {
 	host := trimDotSuffix(fqdn, in.DomainSuffix)
 	switch in.ID {
 	case Aliyun:

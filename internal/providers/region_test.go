@@ -1,18 +1,45 @@
-package providers
+package providers_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/providers"
+	"repro/internal/workload"
 )
 
-// TestRegionMatchesParse pins the contract of the allocation-free Region fast
-// path: for every provider format it must return exactly Parse(fqdn).Region,
-// across random domains, every enumerated region, case noise, and trailing
-// dots.
+// checkIdentifyRegion pins IdentifyRegion, the one-match call the resolver
+// and both aggregator paths use, against the two-match reference Identify +
+// Parse().Region.
+func checkIdentifyRegion(t *testing.T, m *providers.Matcher, fqdn string) {
+	t.Helper()
+	in, region, ok := m.IdentifyRegion(fqdn)
+	want, wok := m.Identify(fqdn)
+	if ok != wok || in != want {
+		t.Fatalf("IdentifyRegion(%q) = %v, %v; Identify = %v, %v", fqdn, in, ok, want, wok)
+	}
+	wantRegion := ""
+	if wok {
+		p, pok := want.Parse(fqdn)
+		if !pok {
+			t.Fatalf("Identify matched %q but Parse rejects it", fqdn)
+		}
+		wantRegion = p.Region
+	}
+	if region != wantRegion {
+		t.Fatalf("IdentifyRegion(%q) region = %q, Parse = %q", fqdn, region, wantRegion)
+	}
+}
+
+// TestRegionMatchesParse covers every provider format: random
+// domains, every enumerated region, case and trailing-dot noise (the
+// normalisation Parse applies), and short or degenerate hosts for the
+// length-guarded formats.
 func TestRegionMatchesParse(t *testing.T) {
+	m := providers.NewMatcher(nil)
 	rng := rand.New(rand.NewSource(7))
-	for _, in := range Collected() {
+	for _, in := range providers.Collected() {
 		var domains []string
 		for i := 0; i < 50; i++ {
 			domains = append(domains, in.Generate(rng, ""))
@@ -20,56 +47,65 @@ func TestRegionMatchesParse(t *testing.T) {
 		for _, r := range in.Regions {
 			domains = append(domains, in.Generate(rng, r))
 		}
-		// Case and trailing-dot noise, the normalisation Parse applies.
 		for i := 0; i < 10; i++ {
 			d := in.Generate(rng, "")
 			domains = append(domains, strings.ToUpper(d), d+".")
 		}
-		// Deliberately short/degenerate hosts for the length-guarded formats.
 		domains = append(domains,
 			"a."+in.DomainSuffix,
 			"ab-cd."+in.DomainSuffix,
 			in.DomainSuffix,
 		)
 		for _, d := range domains {
-			p, _ := in.Parse(d)
-			if got := in.Region(d); got != p.Region {
-				t.Errorf("%s: Region(%q) = %q, Parse.Region = %q", in.Name, d, got, p.Region)
-			}
+			checkIdentifyRegion(t, m, d)
 		}
 	}
 }
 
-// TestRegionForeignDomains: FQDNs that do not match a provider's pattern must
-// yield "" from both paths.
+// TestIdentifyRegionPopulation runs the same check over every function
+// name of a scale-0.1 population, with case and trailing-dot noise on each.
+func TestIdentifyRegionPopulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a scale-0.1 population")
+	}
+	m := providers.NewMatcher(nil)
+	pop := workload.Generate(workload.Config{Seed: 1, Scale: 0.1})
+	if len(pop.Functions) < 10000 {
+		t.Fatalf("population has %d functions, want a scale-0.1 fleet", len(pop.Functions))
+	}
+	for _, f := range pop.Functions {
+		for _, d := range []string{f.FQDN, strings.ToUpper(f.FQDN), f.FQDN + "."} {
+			checkIdentifyRegion(t, m, d)
+		}
+	}
+}
+
+// TestRegionForeignDomains: names no provider matches yield no
+// provider and no region.
 func TestRegionForeignDomains(t *testing.T) {
-	noise := []string{
+	m := providers.NewMatcher(nil)
+	for _, d := range []string{
 		"www.example.com", "", "..", "a-b-c", strings.Repeat("x.", 40),
 		"1234567890-abcdefghij-ap-guangzhou.scf.tencentcs.com.evil.example",
-	}
-	for _, in := range Collected() {
-		for _, d := range noise {
-			p, ok := in.Parse(d)
-			if ok && d != "" {
-				continue // a genuine cross-format match; skip
-			}
-			if got := in.Region(d); got != p.Region {
-				t.Errorf("%s: Region(%q) = %q, Parse.Region = %q", in.Name, d, got, p.Region)
-			}
+	} {
+		if _, _, ok := m.IdentifyRegion(d); ok {
+			t.Errorf("IdentifyRegion(%q) matched", d)
 		}
+		checkIdentifyRegion(t, m, d)
 	}
 }
 
-// TestRegionAllocFree: resolving a region from an already-lowercase FQDN must
-// not allocate — this is what lets the aggregation hot path call it per
-// distinct symbol without undoing the zero-alloc batch work.
+// TestRegionAllocFree: identifying an already-lowercase FQDN and
+// reading its region must not allocate — this is what lets the aggregation
+// hot path call it per distinct symbol without undoing the zero-alloc batch
+// work.
 func TestRegionAllocFree(t *testing.T) {
+	m := providers.NewMatcher(nil)
 	rng := rand.New(rand.NewSource(8))
-	for _, in := range Collected() {
+	for _, in := range providers.Collected() {
 		d := in.Generate(rng, "")
-		in := in
-		if n := testing.AllocsPerRun(100, func() { in.Region(d) }); n > 0 {
-			t.Errorf("%s: Region allocates %.1f per call", in.Name, n)
+		if n := testing.AllocsPerRun(100, func() { m.IdentifyRegion(d) }); n > 0 {
+			t.Errorf("%s: IdentifyRegion allocates %.1f per call", in.Name, n)
 		}
 	}
 }

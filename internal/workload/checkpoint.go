@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dnssim"
+	"repro/internal/lazyrand"
 	"repro/internal/obs"
 	"repro/internal/pdns"
 	"repro/internal/providers"
@@ -169,7 +170,7 @@ func (c *emitCoord) emitShardBatchCkpt(ctx context.Context, pop *Population, res
 	st := &c.shards[i]
 	batch := pdns.NewRecordBatch(rowsPerBatch)
 	sc := &emitScratch{}
-	rng := rand.New(rand.NewSource(0))
+	rng := rand.New(lazyrand.New(0))
 	var fsym pdns.Sym
 	counting := c.ck != nil
 	row := func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {

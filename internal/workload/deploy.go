@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/c2"
 	"repro/internal/faas"
+	"repro/internal/lazyrand"
 	"repro/internal/pdns"
 	"repro/internal/providers"
 )
@@ -42,7 +43,7 @@ func deployOne(pop *Population, f *Function, platform *faas.Platform, db *c2.DB)
 // deterministically from the function's BodySeed, so repeated probes see
 // stable content.
 func handlerFor(f *Function, db *c2.DB) faas.Handler {
-	rng := rand.New(rand.NewSource(f.BodySeed))
+	rng := rand.New(lazyrand.New(f.BodySeed))
 	secret := plantSecret(f.SecretKind, rng)
 
 	respond := func(status int, ct, body string) faas.Handler {

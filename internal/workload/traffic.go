@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/dnssim"
+	"repro/internal/lazyrand"
 	"repro/internal/pdns"
 )
 
@@ -37,9 +38,11 @@ func EmitPDNS(pop *Population, resolver *dnssim.Resolver, sink func(*pdns.Record
 
 // functionRNG builds the deterministic per-function RNG stream. The FQDN
 // hash is folded into the seed through a splitmix64 finalizer so that
-// adjacent seeds and similar names still yield uncorrelated streams.
+// adjacent seeds and similar names still yield uncorrelated streams. The
+// source is lazyrand's: the stream rand.NewSource would give, without
+// paying for all 607 state words when a function draws a few dozen values.
 func functionRNG(seed int64, fqdn string) *rand.Rand {
-	return rand.New(rand.NewSource(functionSeed(seed, fqdn)))
+	return rand.New(lazyrand.New(functionSeed(seed, fqdn)))
 }
 
 // functionSeed is the seed of a function's RNG stream; a shard loop that
