@@ -48,7 +48,7 @@ bench:
 # tee pipe, whose exit status would mask a bench failure), and the parse step
 # errors out when the capture contains zero benchmark lines.
 bench-json:
-	$(GO) test -bench 'EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|BatchCodec|FunctionStream' \
+	$(GO) test -bench 'EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|FunctionStream' \
 		-benchmem -count=5 -run=^$$ ./... > BENCH_pipeline.txt 2>&1 \
 		|| { cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1; }
 	cat BENCH_pipeline.txt
@@ -119,7 +119,7 @@ gate: test
 
 # SLO health check: run the golden configuration with the streaming health
 # monitor in strict mode. Exits non-zero if any rule fires (per-provider
-# probe error rate or p99, breaker opens, feed drop/quarantine rates) — a
+# probe error rate or p99, breaker opens, feed drop rate) — a
 # clean seeded run is expected to stay inside every bound.
 health:
 	$(GO) run ./cmd/scfpipe -seed 1 -scale 0.01 -workers 4 -chaos none -skip-c2 \

@@ -8,10 +8,8 @@
 package divecloud_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -163,12 +161,11 @@ func BenchmarkTable2Resolution(b *testing.B) {
 var (
 	batchOnce  sync.Once
 	fixBatches []*pdns.RecordBatch
-	fixTSV     []byte
 )
 
 // batchFixtures materialises the record fixture as columnar batches sharing
-// one intern table (the shape a streaming producer hands AddBatch) plus its
-// TSV encoding, for the batch-path benchmarks.
+// one intern table (the shape a streaming producer hands AddBatch), for the
+// batch-path benchmarks.
 func batchFixtures(b *testing.B) {
 	b.Helper()
 	fixtures(b)
@@ -184,15 +181,6 @@ func batchFixtures(b *testing.B) {
 		if batch.Len() > 0 {
 			fixBatches = append(fixBatches, batch)
 		}
-		var buf bytes.Buffer
-		w := pdns.NewWriter(&buf, pdns.TSV)
-		for _, bt := range fixBatches {
-			if err := w.WriteBatch(bt); err != nil {
-				panic(err)
-			}
-		}
-		w.Flush()
-		fixTSV = buf.Bytes()
 	})
 }
 
@@ -217,44 +205,6 @@ func BenchmarkTable2ResolutionBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(fixRecords)), "records/op")
-}
-
-// BenchmarkBatchCodec measures the streaming batch codec against the record
-// fixture: read decodes the whole TSV corpus through ReadBatch, write
-// re-encodes the batches through WriteBatch.
-func BenchmarkBatchCodec(b *testing.B) {
-	batchFixtures(b)
-	b.Run("read", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r := pdns.NewReader(bytes.NewReader(fixTSV), pdns.TSV)
-			batch := pdns.NewRecordBatch(pdns.DefaultBatchRows)
-			var rows int64
-			n, err := pdns.CopyAllBatch(r, batch, func(bt *pdns.RecordBatch) error {
-				rows += int64(bt.Len())
-				return nil
-			})
-			if err != nil || n != int64(len(fixRecords)) || rows != n {
-				b.Fatalf("read %d rows (cb %d): %v", n, rows, err)
-			}
-		}
-		b.ReportMetric(float64(len(fixRecords)), "records/op")
-	})
-	b.Run("write", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			w := pdns.NewWriter(io.Discard, pdns.TSV)
-			for _, bt := range fixBatches {
-				if err := w.WriteBatch(bt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := w.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(fixRecords)), "records/op")
-	})
 }
 
 // BenchmarkTable2ResolutionInstrumented is the same rollup with the obs

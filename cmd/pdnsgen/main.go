@@ -5,25 +5,18 @@
 // Usage:
 //
 //	pdnsgen -seed 1 -scale 0.01 -format tsv -o pdns.tsv
-//	pdnsgen -scale 0.001 -chaos heavy -o dirty.tsv   # corrupted feed
 //
-// With -chaos a deterministic fraction of the emitted lines is mangled
-// (truncated mid-record, wrong column count, binary garbage) the way a real
-// feed transfer degrades, producing datasets that exercise a reader's
-// quarantine path. The corruption schedule depends only on the chaos seed
-// and the line contents, so the dirty dataset is as reproducible as the
-// clean one.
+// The file is an export of the dataset: the pipeline itself consumes the
+// same emission in memory and reads no PDNS files.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
 	"repro/internal/dnssim"
-	"repro/internal/fault"
 	"repro/internal/pdns"
 	"repro/internal/workload"
 )
@@ -39,18 +32,8 @@ func main() {
 		cache   = flag.Bool("cache-model", false, "model resolver caching (request_cnt becomes a lower bound)")
 		fleet   = flag.String("fleet", "", "also write the ground-truth fleet spec (JSONL) to this file")
 		workers = flag.Int("workers", 0, "generation worker pool (0 = GOMAXPROCS; output is byte-identical for every value)")
-		chaos   = flag.String("chaos", "", "corrupt a deterministic fraction of output lines: none, light, or heavy, optionally ,seed=N")
 	)
 	flag.Parse()
-
-	var chaosProf fault.Profile
-	if *chaos != "" {
-		var err error
-		if chaosProf, err = fault.ParseProfile(*chaos); err != nil {
-			log.Fatal(err)
-		}
-		chaosProf = chaosProf.WithSeed(*seed)
-	}
 
 	var f pdns.Format
 	switch *format {
@@ -85,51 +68,12 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	var sink io.Writer = w
-	var corrupter *fault.CorruptingWriter
-	if chaosProf.FeedCorrupt > 0 {
-		corrupter = fault.NewCorruptingWriter(w, fault.New(chaosProf))
-		sink = corrupter
-	}
-	writer := pdns.NewWriter(sink, f)
-	resolver := dnssim.NewResolver()
-	// Serial generation streams through a columnar batch — same bytes as
-	// per-record writes, without the per-line encoding allocations. The
-	// multi-worker path needs records in population order, so it keeps the
-	// ordered scalar fan-out.
-	if *workers == 1 {
-		batch := pdns.NewRecordBatch(pdns.DefaultBatchRows)
-		flush := func(b *pdns.RecordBatch) error {
-			if err := writer.WriteBatch(b); err != nil {
-				return err
-			}
-			b.Reset()
-			return nil
-		}
-		err := workload.EmitPDNS(pop, resolver, func(r *pdns.Record) error {
-			batch.AppendRecord(r)
-			if batch.Len() >= pdns.DefaultBatchRows {
-				return flush(batch)
-			}
-			return nil
-		})
-		if err == nil && batch.Len() > 0 {
-			err = flush(batch)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else if err := workload.EmitPDNSOrdered(pop, resolver, *workers, writer.Write); err != nil {
+	writer := pdns.NewWriter(w, f)
+	if err := workload.EmitPDNSOrdered(pop, dnssim.NewResolver(), *workers, writer.Write); err != nil {
 		log.Fatal(err)
 	}
 	if err := writer.Flush(); err != nil {
 		log.Fatal(err)
-	}
-	if corrupter != nil {
-		if err := corrupter.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pdnsgen: corrupted %d lines (chaos %s)\n", corrupter.Corrupted(), chaosProf.String())
 	}
 	fmt.Fprintf(os.Stderr, "pdnsgen: %d functions, %d records\n", len(pop.Functions), writer.Count())
 }

@@ -26,7 +26,7 @@
 // the schedule depends only on (chaos seed, FQDN), never on -workers.
 //
 // Every run evaluates the default SLO health rules (per-provider probe error
-// rate and p99 latency, breaker opens, feed drop/quarantine rates) over
+// rate and p99 latency, breaker opens, feed drop rate) over
 // rolling windows while it executes — every 500ms, or every
 // -sample-interval when set; firings land in the event log as "health"
 // events and the final per-provider health table prints after the

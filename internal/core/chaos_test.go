@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/health"
 	"repro/internal/obs"
+	"repro/internal/obs/timeline"
 )
 
 // chaosActive reports whether the test binary runs under an SCF_CHAOS
@@ -57,7 +59,7 @@ func faultCounters(r *Results) map[string]int64 {
 
 // TestPipelineChaosWorkerInvariance pins the acceptance criterion: with a
 // fixed chaos seed, runs at different worker counts inject the identical
-// fault schedule and produce identical quarantine/retry counts and identical
+// fault schedule and produce identical drop/retry counts and identical
 // Table 2–3 / Fig. 3–5 / disclosure outputs — every artifact the gate
 // fingerprints (runs.DeterministicArtifacts).
 func TestPipelineChaosWorkerInvariance(t *testing.T) {
@@ -156,6 +158,40 @@ func TestPipelineChaosHeavyCompletes(t *testing.T) {
 	if m.Meta["chaos"] != "heavy,seed=7" {
 		t.Errorf("manifest chaos meta = %q", m.Meta["chaos"])
 	}
+	// Every metric the run's telemetry watches must exist in a heavy-chaos
+	// run: a health rule, watch series or degradation row over a metric no
+	// run registers can never fire, and its clean result means nothing.
+	snap := r.Metrics.Snapshot()
+	watched := timeline.DefaultWatch()
+	for _, rule := range health.DefaultRules(r.Config.ProbeTimeout) {
+		watched = append(watched, rule.Metric)
+		if rule.Den != "" {
+			watched = append(watched, rule.Den)
+		}
+	}
+	for _, dm := range degradationMetrics {
+		// Only checkpointing or a resume registers the pipeline-stage
+		// recovery rows.
+		if dm.stage != "pipeline" {
+			watched = append(watched, dm.metric)
+		}
+	}
+	for _, name := range watched {
+		if !registered(snap, name) {
+			t.Errorf("watched metric %q is absent from a heavy-chaos run", name)
+		}
+	}
+}
+
+// registered reports whether name is in the snapshot under any metric kind.
+func registered(s obs.Snapshot, name string) bool {
+	_, c := s.Counters[name]
+	_, g := s.Gauges[name]
+	_, h := s.Histograms[name]
+	_, cv := s.CounterVecs[name]
+	_, gv := s.GaugeVecs[name]
+	_, hv := s.HistogramVecs[name]
+	return c || g || h || cv || gv || hv
 }
 
 // TestPipelineChaosFlapRecovery verifies retries actually buy reachability:

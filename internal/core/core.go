@@ -236,7 +236,7 @@ type Results struct {
 
 	// Degradations is the per-stage record of what the run absorbed
 	// instead of aborting on — injected faults survived, probes retried,
-	// feed records quarantined, breakers opened. Empty for a clean run.
+	// corrupt feed records dropped, breakers opened. Empty for a clean run.
 	Degradations []obs.Degradation
 
 	// Health is the final evaluation of the run's SLO rules, one row per
@@ -895,7 +895,6 @@ var degradationMetrics = []struct {
 	metric, stage, kind string
 }{
 	{"fault_corrupt_records_total", "identify", "injected-corrupt-records"},
-	{"pdns_reader_quarantined_total", "identify", "quarantined-lines"},
 	{"pdns_records_dropped_total", "identify", "dropped-records"},
 	{"fault_dns_injected_total", "probe", "injected-dns-failures"},
 	{"fault_resets_injected_total", "probe", "injected-resets"},

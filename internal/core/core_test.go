@@ -33,7 +33,7 @@ func sharedRun(t *testing.T) *Results {
 func TestPipelineIdentification(t *testing.T) {
 	r := sharedRun(t)
 	if chaosActive() {
-		// Feed corruption quarantines a few percent of records, so
+		// Feed corruption drops a few percent of records, so
 		// single-record domains can vanish entirely; the bulk must survive.
 		got, want := r.Aggregate.TotalDomains(), len(r.Population.Functions)
 		if got > want || float64(got) < 0.9*float64(want) {

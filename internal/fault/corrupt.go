@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"bytes"
-	"io"
 	"time"
 
 	"repro/internal/pdns"
@@ -53,97 +51,4 @@ func hashString(s string) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-// CorruptingWriter sits between a pdns.Writer and the output file and
-// mangles a deterministic fraction of the encoded lines: truncating them
-// mid-column, deleting a tab so the column count is wrong, or prefixing
-// binary garbage. It lets pdnsgen emit datasets that exercise the reader's
-// quarantine path. The decision per line is a pure function of
-// (seed, line bytes), so the same dataset corrupts identically on every run.
-type CorruptingWriter struct {
-	w    io.Writer
-	in   *Injector
-	buf  bytes.Buffer
-	n    int64 // lines seen
-	hits int64 // lines corrupted
-}
-
-// NewCorruptingWriter wraps w with the injector's FeedCorrupt rate. With a
-// nil injector or zero rate it degrades to a plain line-buffered pass-through.
-func NewCorruptingWriter(w io.Writer, in *Injector) *CorruptingWriter {
-	return &CorruptingWriter{w: w, in: in}
-}
-
-// Write buffers until newline boundaries and corrupts whole lines; partial
-// trailing lines wait in the buffer for the next Write or Flush.
-func (cw *CorruptingWriter) Write(p []byte) (int, error) {
-	cw.buf.Write(p)
-	for {
-		b := cw.buf.Bytes()
-		i := bytes.IndexByte(b, '\n')
-		if i < 0 {
-			return len(p), nil
-		}
-		line := make([]byte, i+1)
-		copy(line, b[:i+1])
-		cw.buf.Next(i + 1)
-		if err := cw.emit(line); err != nil {
-			return len(p), err
-		}
-	}
-}
-
-// Flush drains any partial trailing line.
-func (cw *CorruptingWriter) Flush() error {
-	if cw.buf.Len() == 0 {
-		return nil
-	}
-	line := append([]byte(nil), cw.buf.Bytes()...)
-	cw.buf.Reset()
-	return cw.emit(line)
-}
-
-// Corrupted returns how many lines were mangled.
-func (cw *CorruptingWriter) Corrupted() int64 { return cw.hits }
-
-func (cw *CorruptingWriter) emit(line []byte) error {
-	cw.n++
-	rate := 0.0
-	if cw.in != nil {
-		rate = cw.in.prof.FeedCorrupt
-	}
-	trimmed := bytes.TrimRight(line, "\n")
-	if rate <= 0 || len(trimmed) == 0 {
-		_, err := cw.w.Write(line)
-		return err
-	}
-	s := newStream(uint64(cw.in.prof.Seed), hashString(string(trimmed)), streamLine)
-	if !s.hit(rate) {
-		_, err := cw.w.Write(line)
-		return err
-	}
-	cw.hits++
-	cw.in.mCorrupt.Inc()
-	switch s.next() % 3 {
-	case 0:
-		// Half-written line: the writer died mid-record.
-		cut := 1 + int(s.next()%uint64(len(trimmed)))
-		line = append(trimmed[:cut:cut], '\n')
-	case 1:
-		// Drop the first tab: wrong column count for TSV, broken JSON
-		// spacing is harmless so also flip a brace if present.
-		if j := bytes.IndexByte(trimmed, '\t'); j >= 0 {
-			line = append(append(trimmed[:j:j], trimmed[j+1:]...), '\n')
-		} else if j := bytes.IndexByte(trimmed, '{'); j >= 0 {
-			mut := append([]byte(nil), trimmed...)
-			mut[j] = '['
-			line = append(mut, '\n')
-		}
-	default:
-		// Binary garbage prefix, as a torn gzip block would leave.
-		line = append([]byte{0x1f, 0x8b, 0x00, 0xff}, line...)
-	}
-	_, err := cw.w.Write(line)
-	return err
 }

@@ -1,9 +1,7 @@
 package fault
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
@@ -59,61 +57,5 @@ func TestCorruptRecordDeterministicAndInvalid(t *testing.T) {
 	// or not the cache model rescaled the counts.
 	if hits1 != hits2 || fmt.Sprint(set1) != fmt.Sprint(set2) {
 		t.Error("corruption schedule depends on RequestCnt")
-	}
-}
-
-func TestCorruptingWriterDeterministic(t *testing.T) {
-	prof := Profile{Name: "t", Seed: 9, FeedCorrupt: 0.1}
-	var lines strings.Builder
-	for i := 0; i < 2000; i++ {
-		r := testRecord(i)
-		fmt.Fprintf(&lines, "%s\t%s\t%s\t%d\t%d\t%d\t%s\n",
-			r.FQDN, r.RType, r.RData, r.FirstSeen.Unix(), r.LastSeen.Unix(), r.RequestCnt, r.PDate)
-	}
-	clean := lines.String()
-
-	write := func(chunk int) (string, int64) {
-		var out bytes.Buffer
-		cw := NewCorruptingWriter(&out, New(prof))
-		for i := 0; i < len(clean); i += chunk {
-			end := i + chunk
-			if end > len(clean) {
-				end = len(clean)
-			}
-			if _, err := cw.Write([]byte(clean[i:end])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return out.String(), cw.Corrupted()
-	}
-
-	// Corruption must be a pure function of (seed, line), independent of how
-	// the bytes were chunked into Write calls.
-	whole, hitsWhole := write(len(clean))
-	tiny, hitsTiny := write(7)
-	if whole != tiny || hitsWhole != hitsTiny {
-		t.Fatal("corrupted output depends on Write chunking")
-	}
-	if hitsWhole == 0 {
-		t.Fatal("no line was corrupted at 10% over 2000 lines")
-	}
-	if whole == clean {
-		t.Fatal("output identical to clean input despite corrupted lines")
-	}
-
-	// A pass-through writer (nil injector) must not touch the bytes.
-	var out bytes.Buffer
-	cw := NewCorruptingWriter(&out, nil)
-	if _, err := cw.Write([]byte(clean)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != clean || cw.Corrupted() != 0 {
-		t.Fatal("pass-through writer altered the stream")
 	}
 }

@@ -24,8 +24,8 @@
 //   - response truncation (the connection dies after a byte budget, killing
 //     TLS handshakes and truncating plain-HTTP bodies)
 //   - latency spike (the dial stalls past any probe timeout)
-//   - PDNS feed corruption (records/lines mangled so they fail validation —
-//     see corrupt.go)
+//   - PDNS feed corruption (records mangled so they fail validation — see
+//     corrupt.go)
 package fault
 
 import (
@@ -60,7 +60,7 @@ type Profile struct {
 	Flap        float64 // first 1-2 dials reset, then the endpoint recovers
 	Truncate    float64 // connections die after a 256-639 byte budget
 	Latency     float64 // dials stall past the probe timeout
-	FeedCorrupt float64 // PDNS records/lines are mangled (fail validation)
+	FeedCorrupt float64 // PDNS records are mangled (fail validation)
 
 	// Crash schedule (see crash.go). CrashStage aborts the process at that
 	// stage's entry boundary; with CrashRows > 0 the abort instead fires once
@@ -440,12 +440,11 @@ func (c *truncConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// Stream-domain constants keep the endpoint, feed-record, and feed-line
+// Stream-domain constants keep the endpoint, feed-record, and crash
 // schedules independent even for the same FQDN and seed.
 const (
 	streamEndpoint uint64 = 0x0e9d0f17a11ed001
 	streamRecord   uint64 = 0x5eedc0440badf00d
-	streamLine     uint64 = 0x114e5eedc0aa0457
 	streamCrash    uint64 = 0xc4a54bad5eedd1e5
 )
 

@@ -2,7 +2,7 @@
 // registry while a run executes. Rules are ratios, quantile bounds, or raw
 // thresholds over (possibly labeled) metrics, optionally grouped by one
 // label — "conn-failure share per provider below 2%", "probe p99 per
-// provider under 3x the timeout", "zero quarantined feed lines". A Monitor
+// provider under 3x the timeout", "feed drop rate under 0.1%". A Monitor
 // evaluates every rule over a rolling window of the snapshots the run's
 // observer hands it (internal/obs/timeline), and emits a structured health
 // event into the run's event log the first time a (rule, group) fires;
@@ -73,8 +73,8 @@ type Result struct {
 // DefaultRules is the pipeline's SLO rule set. The bounds are chosen so a
 // clean (chaos-none) golden run passes every rule — its legitimate DNS
 // failures and probe timeouts are measurement results, not SLO breaches —
-// while injected faults (connection resets, feed corruption, breaker trips,
-// quarantined feed lines) fire.
+// while injected faults (connection resets, feed corruption, breaker trips)
+// fire.
 func DefaultRules(probeTimeout time.Duration) []Rule {
 	to := probeTimeout.Seconds()
 	if to <= 0 {
@@ -116,12 +116,6 @@ func DefaultRules(probeTimeout time.Duration) []Rule {
 			Metric: "pdns_records_dropped_total",
 			Den:    "pdns_records_scanned_total",
 			Max:    0.001, MinSamples: 1000,
-		},
-		{
-			// Quarantined (undecodable) feed lines: any is a feed defect.
-			Name:   "feed-quarantined-lines",
-			Metric: "pdns_reader_quarantined_total",
-			Max:    0,
 		},
 	}
 }

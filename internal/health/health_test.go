@@ -201,15 +201,15 @@ func TestMonitorTimelineHooks(t *testing.T) {
 	r := obs.NewRegistry()
 	elog := obs.NewEventLog()
 	m := NewMonitor(elog, []Rule{
-		{Name: "quarantined", Metric: "pdns_reader_quarantined_total", Max: 0},
+		{Name: "corrupt", Metric: "fault_corrupt_records_total", Max: 0},
 		{Name: "opens", Metric: "fault_breaker_opens_total", Max: 0},
 	})
 
 	base := time.Unix(1000, 0)
 	m.Observe(base, r.Snapshot(), true, 6)
-	r.Counter("pdns_reader_quarantined_total").Add(3)
+	r.Counter("fault_corrupt_records_total").Add(3)
 	first := m.Observe(base.Add(time.Second), r.Snapshot(), true, 7)
-	if len(first) != 1 || first[0].Rule != "quarantined" || first[0].WindowIndex != 7 {
+	if len(first) != 1 || first[0].Rule != "corrupt" || first[0].WindowIndex != 7 {
 		t.Fatalf("tick firings = %+v, want one firing stamped window 7", first)
 	}
 	r.Counter("fault_breaker_opens_total").Add(1)
@@ -223,8 +223,8 @@ func TestMonitorTimelineHooks(t *testing.T) {
 			stamps[rr.Rule] = rr.WindowIndex
 		}
 	}
-	if stamps["quarantined"] != 7 || stamps["opens"] != 9 {
-		t.Fatalf("final stamps = %v, want quarantined 7 and opens 9", stamps)
+	if stamps["corrupt"] != 7 || stamps["opens"] != 9 {
+		t.Fatalf("final stamps = %v, want corrupt 7 and opens 9", stamps)
 	}
 	var events strings.Builder
 	if err := elog.WriteJSONL(&events); err != nil {
@@ -238,7 +238,7 @@ func TestMonitorTimelineHooks(t *testing.T) {
 
 	// Without a timeline: no stamp, no attribute.
 	elog2 := obs.NewEventLog()
-	m2 := NewMonitor(elog2, []Rule{{Name: "quarantined", Metric: "pdns_reader_quarantined_total", Max: 0}})
+	m2 := NewMonitor(elog2, []Rule{{Name: "corrupt", Metric: "fault_corrupt_records_total", Max: 0}})
 	if res, _ := m2.Finalize(r.Snapshot(), -1); !Fired(res) || res[0].WindowIndex != 0 {
 		t.Fatalf("untimed results = %+v, want fired and unstamped", res)
 	}

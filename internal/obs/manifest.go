@@ -23,14 +23,14 @@ type Manifest struct {
 	// Metrics is the registry snapshot at completion.
 	Metrics Snapshot `json:"metrics"`
 	// Degradations records what the run survived rather than aborted on —
-	// retried probes, quarantined feed lines, opened breakers. Empty for a
+	// retried probes, dropped feed records, opened breakers. Empty for a
 	// clean run; a resilient run is only trustworthy if it also says
 	// exactly how degraded it was.
 	Degradations []Degradation `json:"degradations,omitempty"`
 }
 
 // Degradation is one class of absorbed failure within one pipeline stage:
-// Count occurrences of Kind (e.g. "conn-retries", "quarantined-lines")
+// Count occurrences of Kind (e.g. "conn-retries", "dropped-records")
 // during Stage ("probe", "identify", ...).
 type Degradation struct {
 	Stage string `json:"stage"`

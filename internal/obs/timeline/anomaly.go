@@ -43,8 +43,6 @@ func DefaultWatch() []string {
 		"fault_corrupt_records_total",
 		"fault_breaker_opens_total",
 		"fault_breaker_short_circuits_total",
-		"pdns_reader_quarantined_total",
-		"pdns_quarantined_total",
 	}
 }
 

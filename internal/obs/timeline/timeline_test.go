@@ -344,12 +344,12 @@ func TestWatchlistIgnoresUnwatched(t *testing.T) {
 // TestVecSeriesWatched: a watched vector metric is tracked per labeled
 // series, and the anomaly order is sorted by series name.
 func TestVecSeriesWatched(t *testing.T) {
-	det := newDetector([]string{"pdns_quarantined_total"})
-	vec := obs.VecSnapshot{Labels: []string{"shard", "reason"}, Series: map[string]int64{
-		obs.JoinSeriesKey([]string{"3", "corrupt"}): 2,
-		obs.JoinSeriesKey([]string{"1", "corrupt"}): 4,
+	det := newDetector([]string{"pdns_ingest_total"})
+	vec := obs.VecSnapshot{Labels: []string{"shard", "disposition"}, Series: map[string]int64{
+		obs.JoinSeriesKey([]string{"3", "invalid"}): 2,
+		obs.JoinSeriesKey([]string{"1", "invalid"}): 4,
 	}}
-	s := obs.Snapshot{CounterVecs: map[string]obs.VecSnapshot{"pdns_quarantined_total": vec}}
+	s := obs.Snapshot{CounterVecs: map[string]obs.VecSnapshot{"pdns_ingest_total": vec}}
 	as := det.observe(s, s)
 	if len(as) != 2 || as[0].Kind != "activation" || as[1].Kind != "activation" {
 		t.Fatalf("vec activations = %+v, want 2", as)
@@ -368,9 +368,9 @@ func TestObserverLifecycle(t *testing.T) {
 	clock := NewFakeClock(t0)
 	st := NewStream()
 	off := NewObserver(reg, Options{Clock: clock, Stream: st,
-		Rules: []health.Rule{{Name: "quarantined", Metric: "pdns_reader_quarantined_total", Max: 0}}})
+		Rules: []health.Rule{{Name: "corrupt", Metric: "fault_corrupt_records_total", Max: 0}}})
 	off.Start()
-	reg.Counter("pdns_reader_quarantined_total").Inc()
+	reg.Counter("fault_corrupt_records_total").Inc()
 	clock.Advance(time.Second) // two health-only ticks
 	rep := off.Stop()
 	if len(rep.Windows) != 0 || len(rep.Resources) != 0 {

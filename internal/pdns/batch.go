@@ -2,6 +2,11 @@ package pdns
 
 import "time"
 
+// DefaultBatchRows is the batch size the streaming paths use when the
+// caller does not pick one. Large enough to amortise per-batch overhead,
+// small enough that a batch of seven 8-byte columns stays cache-friendly.
+const DefaultBatchRows = 4096
+
 // RecordBatch is the columnar (struct-of-arrays) form of a run of Records.
 // Strings are interned into the batch's Symtab; every other column is a
 // parallel slice of plain integers, so appending a row allocates nothing

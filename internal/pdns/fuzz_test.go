@@ -2,220 +2,99 @@ package pdns
 
 import (
 	"bytes"
-	"compress/gzip"
-	"errors"
-	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
 
-// FuzzTSVReader checks that arbitrary input never panics the TSV parser and
-// that every successfully parsed record re-encodes and re-parses to itself.
+// FuzzTSVReader checks that arbitrary input never panics the reference TSV
+// decoder and that every line it accepts re-encodes through the Writer to
+// bytes that decode back to the same record and re-encode to themselves.
 func FuzzTSVReader(f *testing.F) {
 	f.Add("f.on.aws\t1\t1.2.3.4\t1650000000\t1650000600\t12\t19083\n")
 	f.Add("bad line\n")
 	f.Add("\t\t\t\t\t\t\n")
 	f.Add("a\t1\tb\tx\ty\tz\tw\n")
-	// Quarantine-path seeds: a line the writer died on mid-record, and a
+	// Torn-input seeds: a line the writer died on mid-record, and a
 	// torn-gzip garbage prefix glued to a healthy line.
 	f.Add("f.on.aws\t1\t1.2.")
 	f.Add("\x1f\x8b\x00\xfff.on.aws\t1\t1.2.3.4\t1650000000\t1650000600\t12\t19083\n")
-	f.Fuzz(func(t *testing.T, line string) {
-		r := NewReader(bytes.NewBufferString(line), TSV)
-		var rec Record
-		for {
-			err := r.Read(&rec)
-			if err == io.EOF {
-				return
+	f.Fuzz(func(t *testing.T, input string) {
+		for _, line := range strings.Split(input, "\n") {
+			var rec Record
+			if parseTSV(line, &rec) != nil {
+				continue // malformed input is rejected, never panics
 			}
-			if err != nil {
-				return // malformed input is rejected, never panics
+			first := encodeTSV(t, []Record{rec})
+			back, err := decodeAll(first, TSV)
+			if err != nil || len(back) != 1 {
+				t.Fatalf("re-parse of %q failed: %v", first, err)
 			}
-			var buf bytes.Buffer
-			w := NewWriter(&buf, TSV)
-			if err := w.Write(&rec); err != nil {
-				t.Fatalf("re-encode of parsed record failed: %v", err)
+			if !sameRecord(back[0], rec) {
+				t.Fatalf("round trip changed record: %+v vs %+v", rec, back[0])
 			}
-			w.Flush()
-			var rec2 Record
-			if err := NewReader(&buf, TSV).Read(&rec2); err != nil {
-				t.Fatalf("re-parse failed: %v (line %q)", err, buf.String())
-			}
-			if rec2.FQDN != rec.FQDN || rec2.RequestCnt != rec.RequestCnt || rec2.PDate != rec.PDate {
-				t.Fatalf("round trip changed record: %+v vs %+v", rec, rec2)
+			if second := encodeTSV(t, back); !bytes.Equal(first, second) {
+				t.Fatalf("re-encode is not a fixpoint: %q vs %q", first, second)
 			}
 		}
 	})
 }
 
-// FuzzBatchTSVRoundTrip runs the scalar and the batch TSV readers over the
-// same arbitrary bytes in quarantine mode and requires them to agree on
-// every observable: the records delivered, the skip count, and — for the
-// delivered rows — the re-encoded bytes of batch and scalar writers.
+// FuzzBatchTSVRoundTrip checks that a record keeps its Writer bytes through
+// the columnar batch: every line the reference decoder accepts is written
+// once directly and once after AppendRecord → At, and the two TSV encodings
+// must be identical.
 func FuzzBatchTSVRoundTrip(f *testing.F) {
 	f.Add("f.on.aws\t1\t1.2.3.4\t1650000000\t1650000600\t12\t19083\n")
 	f.Add("f.on.aws\t1\t1.2.3.4\t1650000000\t1650000600\t12\t19083\njunk\nf.on.aws\t5\tx\t0\t0\t0\t0\n")
 	f.Add("a\t1\tb\tx\ty\tz\tw\n")
 	f.Add("f\t+1\tr\t-5\t-5\t0\t-1\n")
-	f.Add("f\t99999999999999999999\tr\t0\t0\t0\t0\n") // overflow hits the slow path
+	f.Add("f\t99999999999999999999\tr\t0\t0\t0\t0\n")
 	f.Add("f.on.aws\t1\t1.2.")
 	f.Fuzz(func(t *testing.T, input string) {
-		sr := NewReader(bytes.NewBufferString(input), TSV).Quarantine(0.99)
-		var scalar []Record
-		var rec Record
-		var scalarErr error
-		for {
-			err := sr.Read(&rec)
-			if err == io.EOF {
-				break
+		var recs []Record
+		for _, line := range strings.Split(input, "\n") {
+			var rec Record
+			if parseTSV(line, &rec) == nil {
+				recs = append(recs, rec)
 			}
-			if err != nil {
-				scalarErr = err
-				break
-			}
-			scalar = append(scalar, rec)
 		}
+		batch := NewRecordBatch(len(recs))
+		for i := range recs {
+			batch.AppendRecord(&recs[i])
+		}
+		viaBatch := make([]Record, batch.Len())
+		for i := range viaBatch {
+			batch.At(i, &viaBatch[i])
+		}
+		if direct, batched := encodeTSV(t, recs), encodeTSV(t, viaBatch); !bytes.Equal(direct, batched) {
+			t.Fatalf("batch round trip changed the bytes:\n%q\nvs\n%q", batched, direct)
+		}
+	})
+}
 
-		br := NewReader(bytes.NewBufferString(input), TSV).Quarantine(0.99)
-		batch := NewRecordBatch(4)
-		var batched []Record
-		var batchErr error
-		for {
-			batch.Reset()
-			n, err := br.ReadBatch(batch, 4)
-			for i := 0; i < n; i++ {
-				var out Record
-				batch.At(i, &out)
-				batched = append(batched, out)
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				batchErr = err
-				break
-			}
-		}
-
-		if (scalarErr == nil) != (batchErr == nil) {
-			t.Fatalf("error divergence: scalar %v, batch %v", scalarErr, batchErr)
-		}
-		if scalarErr != nil {
-			if !errors.Is(scalarErr, ErrErrorBudget) || !errors.Is(batchErr, ErrErrorBudget) {
-				t.Fatalf("hard failure in quarantine mode: scalar %v, batch %v", scalarErr, batchErr)
-			}
-			return // blown budgets abort mid-stream; delivered prefixes may differ
-		}
-		if len(scalar) != len(batched) {
-			t.Fatalf("delivered %d batch records, scalar delivered %d", len(batched), len(scalar))
-		}
-		for i := range scalar {
-			a, b := scalar[i], batched[i]
-			if a.FQDN != b.FQDN || a.RType != b.RType || a.RData != b.RData ||
-				a.RequestCnt != b.RequestCnt || a.PDate != b.PDate ||
-				!a.FirstSeen.Equal(b.FirstSeen) || !a.LastSeen.Equal(b.LastSeen) {
-				t.Fatalf("record %d diverged: scalar %+v, batch %+v", i, a, b)
-			}
-		}
-		if sr.Skipped() != br.Skipped() {
-			t.Fatalf("Skipped: scalar %d, batch %d", sr.Skipped(), br.Skipped())
-		}
-
-		// Re-encode both ways; the bytes must match exactly.
-		var sbuf, bbuf bytes.Buffer
-		sw := NewWriter(&sbuf, TSV)
-		for i := range scalar {
-			if err := sw.Write(&scalar[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sw.Flush()
-		reBatch := NewRecordBatch(len(batched))
-		for i := range batched {
-			reBatch.AppendRecord(&batched[i])
-		}
-		bw := NewWriter(&bbuf, TSV)
-		if err := bw.WriteBatch(reBatch); err != nil {
+// encodeTSV writes recs through a TSV Writer and returns the bytes.
+func encodeTSV(t *testing.T, recs []Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf, TSV)
+	for i := range recs {
+		if err := w.Write(&recs[i]); err != nil {
 			t.Fatal(err)
 		}
-		bw.Flush()
-		if !bytes.Equal(sbuf.Bytes(), bbuf.Bytes()) {
-			t.Fatalf("re-encode diverged:\n%q\nvs\n%q", bbuf.String(), sbuf.String())
-		}
-	})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
-// FuzzQuarantineReader checks that a quarantining reader never panics and
-// never hard-fails on arbitrary input: every outcome is a delivered record,
-// a quarantined line, or a blown error budget — nothing else.
-func FuzzQuarantineReader(f *testing.F) {
-	f.Add("f.on.aws\t1\t1.2.3.4\t1650000000\t1650000600\t12\t19083\n")
-	f.Add("f.on.aws\t1\t1.2.") // half-written line, writer died mid-record
-	f.Add("\x1f\x8b\x00\xffgarbage\n")
-	f.Add("junk\njunk\njunk\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		r := NewReader(bytes.NewBufferString(input), TSV).Quarantine(0.5)
-		var rec Record
-		var delivered int64
-		for {
-			err := r.Read(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if !errors.Is(err, ErrErrorBudget) {
-					t.Fatalf("quarantining reader hard-failed: %v", err)
-				}
-				return
-			}
-			delivered++
-		}
-		if r.StreamErr() != nil {
-			t.Fatalf("in-memory stream reported a stream error: %v", r.StreamErr())
-		}
-		_ = delivered
-	})
-}
-
-// FuzzQuarantineTruncatedGzip compresses the input, cuts the stream at an
-// arbitrary point, and checks a quarantining reader ends with a clean EOF and
-// the truncation surfaced via StreamErr rather than a hard failure.
-func FuzzQuarantineTruncatedGzip(f *testing.F) {
-	f.Add("f.on.aws\t1\t1.2.3.4\t1650000000\t1650000600\t12\t19083\n", 10)
-	f.Add("junk\n", 3)
-	f.Fuzz(func(t *testing.T, line string, cut int) {
-		var buf bytes.Buffer
-		gz := gzip.NewWriter(&buf)
-		for i := 0; i < 50; i++ {
-			gz.Write([]byte(line))
-		}
-		gz.Close()
-		if cut < 0 {
-			cut = -cut
-		}
-		if n := buf.Len(); n > 0 {
-			cut = cut % n
-		}
-		gzr, err := gzip.NewReader(bytes.NewReader(buf.Bytes()[:cut]))
-		if err != nil {
-			return // header itself truncated; OpenFile rejects this upfront
-		}
-		r := NewReader(gzr, TSV).Quarantine(0.99)
-		var rec Record
-		for {
-			err := r.Read(&rec)
-			if err == io.EOF {
-				return
-			}
-			if err != nil && !errors.Is(err, ErrErrorBudget) {
-				t.Fatalf("truncated gzip hard-failed a quarantining reader: %v", err)
-			}
-			if err != nil {
-				return
-			}
-		}
-	})
+// sameRecord compares every field, timestamps by instant.
+func sameRecord(a, b Record) bool {
+	return a.FQDN == b.FQDN && a.RType == b.RType && a.RData == b.RData &&
+		a.RequestCnt == b.RequestCnt && a.PDate == b.PDate &&
+		a.FirstSeen.Equal(b.FirstSeen) && a.LastSeen.Equal(b.LastSeen)
 }
 
 // FuzzAddBatchMatchesAdd drives the columnar aggregator against the scalar

@@ -1,8 +1,6 @@
 package pdns
 
 import (
-	"io"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -99,67 +97,5 @@ func TestShardByFQDNStable(t *testing.T) {
 		if c < 500 {
 			t.Errorf("shard %d badly unbalanced: %d/4000", i, c)
 		}
-	}
-}
-
-func TestFileRoundTripFormats(t *testing.T) {
-	start, _ := testWindow()
-	recs := []Record{
-		mkRecord("a.lambda-url.us-east-1.on.aws", start, TypeA, "1.1.1.1", 3),
-		mkRecord("b.lambda-url.us-east-1.on.aws", start.AddDays(1), TypeAAAA, "2600::2", 9),
-	}
-	dir := t.TempDir()
-	for _, name := range []string{"d.tsv", "d.jsonl", "d.tsv.gz", "d.jsonl.gz"} {
-		path := filepath.Join(dir, name)
-		w, closer, err := CreateFile(path)
-		if err != nil {
-			t.Fatalf("%s: create: %v", name, err)
-		}
-		for i := range recs {
-			if err := w.Write(&recs[i]); err != nil {
-				t.Fatalf("%s: write: %v", name, err)
-			}
-		}
-		if err := closer.Close(); err != nil {
-			t.Fatalf("%s: close: %v", name, err)
-		}
-
-		r, rcloser, err := OpenFile(path)
-		if err != nil {
-			t.Fatalf("%s: open: %v", name, err)
-		}
-		var got []Record
-		var rec Record
-		for {
-			err := r.Read(&rec)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%s: read: %v", name, err)
-			}
-			got = append(got, rec)
-		}
-		rcloser.Close()
-		if len(got) != len(recs) {
-			t.Fatalf("%s: %d records, want %d", name, len(got), len(recs))
-		}
-		for i := range recs {
-			if got[i].FQDN != recs[i].FQDN || got[i].RequestCnt != recs[i].RequestCnt {
-				t.Errorf("%s record %d: %+v", name, i, got[i])
-			}
-		}
-	}
-}
-
-func TestFileUnknownExtension(t *testing.T) {
-	if _, _, err := OpenFile("x.csv"); err == nil {
-		t.Error("unknown extension accepted")
-	}
-	if _, _, err := CreateFile("/nonexistent-dir-zz/x.tsv"); err == nil {
-		t.Error("uncreatable path accepted")
-	}
-	if _, _, err := OpenFile(filepath.Join(t.TempDir(), "missing.tsv")); err == nil {
-		t.Error("missing file accepted")
 	}
 }
