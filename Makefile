@@ -20,9 +20,12 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/runs/... ./internal/probe/... ./internal/faas/... ./internal/dnssim/... ./internal/pdns/... ./internal/workload/... ./internal/fault/... ./internal/checkpoint/... ./internal/health/... ./internal/prof/... ./internal/lazyrand/...
 
-# go vet, then fail if any Go file in the tree is not gofmt-clean.
+# go vet (the benchmark module too: it imports repro/internal/..., so an
+# internal API change can break it), then fail if any Go file in the tree is
+# not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	$(GO) -C scfbench vet ./...
 	@unformatted="$$($(GOFMT) -l .)"; \
 		if [ -n "$$unformatted" ]; then echo "gofmt -l: not formatted:" >&2; echo "$$unformatted" >&2; exit 1; fi
 

@@ -8,7 +8,6 @@
 //	scfpipe -scale 0.05 -skip-c2             # faster: skip the fingerprint sweep
 //	scfpipe -probe-concurrency 128           # widen the probe sweep
 //	scfpipe -metrics-addr :6060              # live JSON metrics + trace + pprof
-//	scfpipe -manifest run.json               # machine-readable run provenance
 //	scfpipe -chaos heavy                     # deterministic fault injection
 //	scfpipe -chaos light,seed=7 -probe-retries 3
 //	scfpipe -run-dir .runs                   # archive the run for scfruns
@@ -38,18 +37,16 @@
 // /trace (the stage span tree so far),
 // /trace.json (Chrome trace-event export for Perfetto / chrome://tracing),
 // /events (the structured event log as JSONL), and /debug/pprof/ (standard
-// profiles). With -manifest the finished run's RunManifest — config,
-// per-stage wall/CPU time, final metrics — is written as JSON, so every
-// benchmark entry has a provenance record. Interrupting the run
-// (SIGINT/SIGTERM) aborts the probe and C2 sweeps cleanly; the manifest is
-// still written, with the cancellation recorded on the interrupted stage.
+// profiles).
 //
-// Every completed run is also archived under <run-dir>/<run-id>/ (default
-// .runs, or $SCF_RUN_DIR; disable with -no-archive): summary + calibration
-// shares, stage timings, manifest, event log, Chrome trace, and the
-// rendered tables/figures with SHA-256 fingerprints. The run ID derives
-// from seed+config, so re-running the same experiment overwrites its slot.
-// `scfruns list|show|diff|gate` reads these archives.
+// Every completed run is archived under <run-dir>/<run-id>/ (default
+// .runs, or $SCF_RUN_DIR; disable with -no-archive), so every benchmark
+// entry has a provenance record: summary + calibration shares, the
+// rendered tables/figures with SHA-256 fingerprints, timings.json (stage
+// wall/CPU, final metrics, health), the event log, and the Chrome trace
+// rendered from it. The run ID derives from seed+config, so re-running the
+// same experiment overwrites its slot. `scfruns list|show|diff|gate` reads
+// these archives.
 //
 // Archived runs also checkpoint their progress under
 // <run-dir>/<run-id>/checkpoints/: a durable snapshot lands at every stage
@@ -58,9 +55,10 @@
 // re-running the same configuration with -resume restores the newest valid
 // checkpoint, skips the completed stages, and produces artifacts
 // byte-identical to an uninterrupted run. The first SIGINT/SIGTERM cancels
-// the run cleanly — in-flight emission flushes one final checkpoint and the
-// partial provenance (manifest + events) is archived with a resume hint; a
-// second signal aborts immediately.
+// the run cleanly: the probe and C2 sweeps abort, in-flight emission
+// flushes one final checkpoint, and the event log (with the cancellation
+// recorded on the interrupted stage) is written next to the checkpoints
+// with a resume hint; a second signal aborts immediately.
 //
 // With -profile the run records continuous profiles: one run-wide CPU
 // profile whose samples carry pprof labels for the executing stage (and the
@@ -115,7 +113,6 @@ func main() {
 		probeConc    = flag.Int("probe-concurrency", 0, "max in-flight probes (0 = default 32)")
 		workers      = flag.Int("workers", 0, "CPU-bound fan-out for generation, PDNS emission+aggregation, sanitisation, and classification (0 = GOMAXPROCS; results are identical for every value)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve live JSON metrics, trace, events, and pprof on this address (e.g. :6060)")
-		manifest     = flag.String("manifest", "", "write the run manifest (stage timings + metrics) to this JSON file")
 		chaos        = flag.String("chaos", "", "fault-injection profile: none, light, or heavy, optionally ,seed=N (default: $SCF_CHAOS or none)")
 		retries      = flag.Int("probe-retries", 0, "extra probe attempts per scheme after connection failures (0 = auto: 2 under chaos; negative = off)")
 		breaker      = flag.Int("breaker-threshold", 0, "consecutive failures opening a provider's probe circuit (0 = auto: 50 under chaos; negative = off)")
@@ -156,8 +153,8 @@ func main() {
 	}
 
 	// Two-phase interrupt handling: the first SIGINT/SIGTERM cancels the run
-	// context so emission can flush a final checkpoint and the partial
-	// provenance gets archived; a second signal aborts on the spot.
+	// context so emission can flush a final checkpoint and the event log
+	// gets written; a second signal aborts on the spot.
 	ctx, cancel := context.WithCancel(obsContext())
 	defer cancel()
 	sigs := make(chan os.Signal, 2)
@@ -208,19 +205,11 @@ func main() {
 		Timeline:           tl,
 	})
 	exitCode := 0
-	if res != nil && *manifest != "" {
-		if werr := res.Manifest("scfpipe").WriteFile(*manifest); werr != nil {
-			log.Print(werr)
-			exitCode = 1
-		} else {
-			log.Printf("wrote manifest to %s", *manifest)
-		}
-	}
 	// Only completed runs are archived in full: a partial run would overwrite
 	// its config's slot with truncated calibration/artifacts. An interrupted
-	// checkpointing run still leaves its provenance (manifest + events) next
-	// to the checkpoints so `scfruns show` has something to display, and
-	// prints the command that resumes it.
+	// checkpointing run still leaves its event log next to the checkpoints
+	// so `scfruns show` has something to display, and prints the command
+	// that resumes it.
 	if res != nil && err == nil && !*noArchive {
 		arch := res.BuildArchive("scfpipe", events)
 		if dir, aerr := runs.Write(root, arch); aerr != nil {
@@ -231,17 +220,8 @@ func main() {
 		}
 	}
 	if res != nil && err != nil && ckptDir != "" {
-		dir := filepath.Join(root, res.RunID())
-		if merr := os.MkdirAll(dir, 0o755); merr == nil {
-			if werr := res.Manifest("scfpipe").WriteFile(filepath.Join(dir, runs.ManifestFile)); werr != nil {
-				log.Print(werr)
-			}
-			if f, ferr := os.Create(filepath.Join(dir, runs.EventsFile)); ferr == nil {
-				if werr := events.WriteJSONL(f); werr != nil {
-					log.Print(werr)
-				}
-				f.Close()
-			}
+		if werr := writePartialEvents(filepath.Join(root, res.RunID())); werr != nil {
+			log.Print(werr)
 		}
 		log.Printf("run %s interrupted; resume it by re-running the same configuration with -resume", res.RunID())
 	}
@@ -285,12 +265,34 @@ func main() {
 
 // Shared observability state: created up front so the introspection endpoint
 // serves live data for the whole run, not a post-hoc copy, and so the event
-// log covers the run from its first span to the final metric snapshot.
+// log covers the run from its first span to its last degradation record.
 var (
 	metrics = obs.NewRegistry()
 	trace   = obs.NewTrace()
 	events  = obs.NewEventLog()
 )
+
+// writePartialEvents writes the event log of an interrupted run into its
+// archive slot dir, next to the checkpoints. It is the only record such a
+// run leaves, so every failure names the path it was writing.
+func writePartialEvents(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("events: %w", err)
+	}
+	path := filepath.Join(dir, runs.EventsFile)
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("events: %w", err)
+	}
+	werr := events.WriteJSONL(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("events: %s: %w", path, werr)
+	}
+	return nil
+}
 
 func obsContext() context.Context {
 	ctx := obs.ContextWithTrace(context.Background(), trace)

@@ -13,7 +13,7 @@
 //	pdnsgen -scale 0.001 | cut -f1 | sort -u | scfprobe
 //	scfprobe -f domains.txt -retries 2 -breaker 20   # resilient campaign
 //	scfprobe -f domains.txt -chaos heavy,seed=3      # rehearse a bad day
-//	scfprobe -f domains.txt -manifest run.json -events run.jsonl
+//	scfprobe -f domains.txt -events run.jsonl
 //
 // -retries adds bounded exponential-backoff retries after connection-class
 // failures, and -breaker opens a per-provider circuit after that many
@@ -22,9 +22,10 @@
 // schedule in front of the real network — a dress rehearsal for the
 // resilience controls without needing the network to misbehave.
 //
-// -manifest writes the campaign's provenance record (span timing plus the
-// final metric snapshot) as JSON, and -events writes the structured event
-// log as JSONL — the same formats a pipeline run archives under .runs/.
+// -events writes the campaign's provenance record as JSONL, in the event
+// format a pipeline run archives under .runs/: the campaign span (with its
+// targets, timeout and chaos attributes, wall and CPU time) and the final
+// metric snapshot.
 package main
 
 import (
@@ -57,7 +58,6 @@ func main() {
 		retries     = flag.Int("retries", 0, "extra attempts per scheme after connection-class failures")
 		breakerThr  = flag.Int("breaker", 0, "consecutive failures opening a provider's circuit (0 = no breaker)")
 		chaos       = flag.String("chaos", "", "inject a deterministic fault schedule: none, light, or heavy, optionally ,seed=N")
-		manifest    = flag.String("manifest", "", "write the campaign manifest (timing + metrics) to this JSON file")
 		eventsFile  = flag.String("events", "", "write the campaign's structured event log to this JSONL file")
 	)
 	flag.Parse()
@@ -91,18 +91,16 @@ func main() {
 	// prober reports latency/outcome metrics into the registry, so a
 	// campaign leaves the same provenance trail a pipeline run does.
 	reg := obs.NewRegistry()
-	tr := obs.NewTrace()
 	elog := obs.NewEventLog()
-	ctx := obs.ContextWithTrace(context.Background(), tr)
-	ctx = obs.ContextWithEventLog(ctx, elog)
+	ctx := obs.ContextWithEventLog(context.Background(), elog)
 
 	cfg := probe.Config{
 		Timeout:     *timeout,
 		Concurrency: *concurrency,
 		Retries:     *retries,
 		Metrics:     reg,
-		// Label the outcome/latency vectors per provider, so the campaign
-		// manifest's snapshot answers "whose endpoints failed" directly.
+		// Label the outcome/latency vectors per provider, so the campaign's
+		// metric snapshot answers "whose endpoints failed" directly.
 		Provider: func(fqdn string) string {
 			if in, ok := matcher.Identify(fqdn); ok {
 				return in.Name
@@ -152,6 +150,8 @@ func main() {
 	sctx, sp := obs.StartSpan(ctx, "campaign")
 	results := p.ProbeAll(sctx, targets)
 	sp.SetAttr("targets", len(targets))
+	sp.SetAttr("timeout", *timeout)
+	sp.SetAttr("chaos", chaosProf)
 	sp.End()
 	for i := range results {
 		r := &results[i]
@@ -175,16 +175,6 @@ func main() {
 			st.Retried, st.BreakerSkips)
 	}
 	elog.EmitMetrics("final", reg)
-	if *manifest != "" {
-		m := obs.BuildManifest("scfprobe", tr, reg, map[string]string{
-			"targets": fmt.Sprint(len(targets)),
-			"timeout": timeout.String(),
-			"chaos":   chaosProf.String(),
-		})
-		if err := m.WriteFile(*manifest); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *eventsFile != "" {
 		f, err := os.Create(*eventsFile)
 		if err != nil {

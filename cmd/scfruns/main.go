@@ -1,6 +1,6 @@
 // Command scfruns audits the pipeline's run-history archives. Every scfpipe
 // run archives itself under .runs/<run-id>/ (summary, calibration shares,
-// stage timings, manifest, event log, Chrome trace, artifact fingerprints);
+// artifact fingerprints, timings, event log, and its Chrome trace);
 // scfruns reads those archives back, compares them, and turns the
 // comparison into a CI verdict.
 //
@@ -220,12 +220,12 @@ func resolve(root, arg string) (string, error) {
 }
 
 // resolvePartial is resolve for directories an interrupted run left behind:
-// no summary.json, but provenance debris (manifest, events, checkpoints)
-// worth showing. It only accepts directories that hold at least one such file
+// no summary.json, but provenance debris (events, checkpoints) worth
+// showing. It only accepts directories that hold at least one such file
 // so a typo'd run ID still errors instead of "showing" an empty dir.
 func resolvePartial(root, arg string) (string, error) {
 	for _, dir := range []string{arg, filepath.Join(root, arg)} {
-		for _, name := range []string{runs.ManifestFile, runs.EventsFile, runs.TimingsFile, runs.CheckpointsDir} {
+		for _, name := range []string{runs.EventsFile, runs.TimingsFile, runs.CheckpointsDir} {
 			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 				return dir, nil
 			}
@@ -311,8 +311,8 @@ func cmdShow(args []string) error {
 	}
 	rec, err := load(*dir, fs.Arg(0))
 	if err != nil {
-		// An interrupted run leaves provenance (manifest, events,
-		// checkpoints) without a summary; show what is readable instead of
+		// An interrupted run leaves provenance (events, checkpoints)
+		// without a summary; show what is readable instead of
 		// refusing — the lineage table is exactly what a post-crash
 		// investigation needs.
 		pdir, perr := resolvePartial(*dir, fs.Arg(0))
@@ -342,7 +342,7 @@ func cmdShow(args []string) error {
 	}
 	fmt.Println(mt.String())
 
-	fmt.Println(report.StageTimingsFlat(rec.Timings.Stages))
+	fmt.Println(report.StageTimings(rec.Timings.Stages))
 
 	if len(rec.Summary.Calibration) > 0 {
 		ct := report.NewTable("Calibration vs paper", "Metric", "Paper", "Measured", "Holds")

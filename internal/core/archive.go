@@ -31,9 +31,9 @@ func (r *Results) Calibration() map[string]float64 {
 // BuildArchive assembles the run's persistent archive record: the
 // deterministic summary (config meta, degradations, calibration shares,
 // artifact contents), the machine-varying timings (flattened stage
-// wall/CPU, final metric snapshot with its labeled vectors, SLO health
-// evaluation), the full manifest, the span trace, and the event log the run
-// emitted into. runs.Write persists the result. Labeled snapshots and
+// wall/CPU with span attributes, final metric snapshot with its labeled
+// vectors, SLO health evaluation), and the event log the run emitted into,
+// which runs.Write also renders as the Chrome trace. Labeled snapshots and
 // health stay strictly on the timings side: the summary — and therefore the
 // run ID and the golden baseline's fingerprints — is untouched by them.
 // It requires a completed run — partial Results from an aborted RunContext
@@ -55,9 +55,7 @@ func (r *Results) BuildArchive(tool string, events *obs.EventLog) *runs.Archive 
 			Resources:   r.Resources,
 			Checkpoints: r.Recovery,
 		},
-		Manifest: r.Manifest(tool),
 		Events:   events,
-		Trace:    r.Stages,
 		Profiles: r.Profiles,
 		Timeline: r.Timeline,
 		Artifacts: map[string]string{
@@ -75,8 +73,8 @@ func (r *Results) BuildArchive(tool string, events *obs.EventLog) *runs.Archive 
 // summary: being killed and resumed (or failing a checkpoint write) is a
 // circumstance of one invocation, not a property of the measurement, and the
 // byte-identity guarantee demands a resumed run's summary.json equal the
-// uninterrupted one's. The rows still reach stdout, the manifest, and the
-// event log via Results.Degradations.
+// uninterrupted one's. The rows still reach stdout and the event log via
+// Results.Degradations.
 func summaryDegradations(ds []obs.Degradation) []obs.Degradation {
 	var out []obs.Degradation
 	for _, d := range ds {

@@ -31,8 +31,8 @@ func TestBuildArchiveShape(t *testing.T) {
 	if len(arch.Timings.Stages) == 0 || arch.Timings.ElapsedNS <= 0 {
 		t.Fatalf("timings not populated: %+v", arch.Timings)
 	}
-	if arch.Manifest == nil || arch.Manifest.Tool != "test" {
-		t.Fatalf("manifest not populated: %+v", arch.Manifest)
+	if arch.Summary.Tool != "test" {
+		t.Fatalf("summary tool = %q, want test", arch.Summary.Tool)
 	}
 }
 
@@ -110,14 +110,19 @@ func TestRunEmitsEventLog(t *testing.T) {
 			t.Errorf("stage %s missing from event log (start=%v end=%v)", stage, starts[stage], ends[stage])
 		}
 	}
-	// The run closes its log with the final metrics snapshot.
-	last := events[len(events)-1]
-	if last.Type != obs.EventMetrics || last.Name != "final" || last.Metrics == nil {
-		t.Fatalf("last event = %+v, want final metrics snapshot", last)
+	// The final metric state is recorded once, in the archive's timings,
+	// not repeated as an event.
+	for _, e := range events {
+		if e.Type == obs.EventMetrics {
+			t.Fatalf("metrics event in the run's log: %+v", e)
+		}
 	}
 	// The archive carries the same log.
 	arch := res.BuildArchive("test", elog)
 	if arch.Events.Len() != len(events) {
 		t.Fatalf("archive event count %d != %d", arch.Events.Len(), len(events))
+	}
+	if len(arch.Timings.Metrics.Counters) == 0 {
+		t.Fatal("archive timings carry no final metric snapshot")
 	}
 }

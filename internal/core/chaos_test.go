@@ -150,13 +150,13 @@ func TestPipelineChaosHeavyCompletes(t *testing.T) {
 	if r.ProbeStats.Retried == 0 {
 		t.Error("no probe retries under heavy chaos")
 	}
-	// Degradations flow into the manifest for provenance.
-	m := r.Manifest("test")
-	if len(m.Degradations) != len(r.Degradations) {
-		t.Errorf("manifest carries %d degradations, results %d", len(m.Degradations), len(r.Degradations))
+	// Degradations flow into the archive summary for provenance.
+	s := r.BuildArchive("test", nil).Summary
+	if len(s.Degradations) != len(r.Degradations) {
+		t.Errorf("summary carries %d degradations, results %d", len(s.Degradations), len(r.Degradations))
 	}
-	if m.Meta["chaos"] != "heavy,seed=7" {
-		t.Errorf("manifest chaos meta = %q", m.Meta["chaos"])
+	if s.Meta["chaos"] != "heavy,seed=7" {
+		t.Errorf("summary chaos meta = %q", s.Meta["chaos"])
 	}
 	// Every metric the run's telemetry watches must exist in a heavy-chaos
 	// run: a health rule, watch series or degradation row over a metric no

@@ -114,8 +114,9 @@ type Config struct {
 
 	// Metrics, when non-nil, receives every substrate's live telemetry
 	// (probe latencies, C2 sweep progress, resolver cache hits, cold/warm
-	// starts, PDNS throughput) and is snapshotted into the run manifest.
-	// Nil creates a private registry so manifests are always complete.
+	// starts, PDNS throughput) and is snapshotted into the run archive's
+	// timings. Nil creates a private registry so the snapshot is always
+	// complete.
 	Metrics *obs.Registry
 
 	// SampleInterval sets the run observer's sampling period. Every tick
@@ -277,8 +278,8 @@ func (r *Results) RunID() string {
 	return runs.RunID(runs.ConfigHash(r.configMeta()))
 }
 
-// configMeta flattens the run's configuration to the flat fact map shared
-// by the manifest and the run archive. Only configuration belongs here —
+// configMeta flattens the run's configuration to the flat fact map the run
+// archive's summary records and hashes. Only configuration belongs here —
 // outcomes like elapsed time would poison the archive's config hash.
 func (r *Results) configMeta() map[string]string {
 	return map[string]string{
@@ -295,16 +296,6 @@ func (r *Results) configMeta() map[string]string {
 		"skip_c2_scan":      fmt.Sprint(r.Config.SkipC2Scan),
 		"chaos":             r.Config.Chaos.String(),
 	}
-}
-
-// Manifest assembles the run's machine-readable provenance record: config,
-// per-stage wall/CPU time, and the final metric snapshot.
-func (r *Results) Manifest(tool string) *obs.Manifest {
-	meta := r.configMeta()
-	meta["elapsed"] = r.Elapsed.String()
-	m := obs.BuildManifest(tool, r.Trace, r.Metrics, meta)
-	m.Degradations = r.Degradations
-	return m
 }
 
 // Run executes the full pipeline with a background context.
@@ -347,8 +338,8 @@ func (c Config) resolve() (Config, error) {
 // stops the run at the end of the stage it interrupts: the partial Results
 // accumulated so far are returned alongside the context error, wrapped as
 // "core: <stage>: ...", with the cancellation recorded on that stage's span
-// and no checkpoint written for it, so a manifest can still be written for
-// an aborted run.
+// and no checkpoint written for it, so the event log of an aborted run
+// still tells its story.
 //
 // Every stage is traced: if ctx carries an obs.Trace the stage spans attach
 // there, otherwise a fresh trace is created. Either way the trace and the
@@ -454,12 +445,12 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		}
 		res.Degradations = collectDegradations(reg)
 		res.Elapsed = time.Since(start)
-		// Close the event log's story: what the run absorbed, then the
-		// final metric state. Stage boundaries were logged by the spans.
+		// Close the event log's story with what the run absorbed. Stage
+		// boundaries were logged by the spans; the final metric state is
+		// the archive's timings, not an event.
 		for _, d := range res.Degradations {
 			elog.EmitDegradation(d)
 		}
-		elog.EmitMetrics("final", reg)
 	}()
 
 	// ---- The stage loop: it alone owns the boundary protocol. ----
@@ -905,7 +896,7 @@ var degradationMetrics = []struct {
 	{"probe_breaker_skips_total", "probe", "breaker-skips"},
 	{"fault_breaker_opens_total", "probe", "breaker-opens"},
 	{"probe_body_aborts_total", "probe", "body-drain-aborts"},
-	// Recovery rows surface in Results.Degradations and the manifest, but
+	// Recovery rows surface in Results.Degradations and the event log, but
 	// BuildArchive filters them out of the deterministic summary: whether a
 	// run was interrupted and resumed is machine circumstance, not a change
 	// in what it measured (see summaryDegradations).

@@ -24,8 +24,8 @@ func stageNames(recs []obs.SpanRecord) []string {
 }
 
 // TestRunStageSpans checks the shared run produced the full instrumented
-// stage sequence with non-zero wall durations, and that the manifest carries
-// it all.
+// stage sequence with non-zero wall durations, and that the archive's
+// summary and timings carry it all.
 func TestRunStageSpans(t *testing.T) {
 	r := sharedRun(t)
 	want := []string{"substrate", "identify", "probe", "sanitise", "cluster", "classify", "assess", "disclosure"}
@@ -42,22 +42,17 @@ func TestRunStageSpans(t *testing.T) {
 		}
 	}
 
-	m := r.Manifest("test")
-	b, err := m.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
+	arch := r.BuildArchive("test", nil)
+	if arch.Summary.Meta["seed"] != "1" {
+		t.Fatalf("summary meta = %v", arch.Summary.Meta)
 	}
-	var back obs.Manifest
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
+	wall := map[string]int64{}
+	for _, s := range arch.Timings.Stages {
+		wall[s.Path] = s.WallNS
 	}
-	if back.Meta["seed"] != "1" {
-		t.Fatalf("manifest meta = %v", back.Meta)
-	}
-	secs := back.StageSeconds()
 	for _, name := range want {
-		if secs[name] <= 0 {
-			t.Errorf("manifest stage %q has zero wall time", name)
+		if wall[name] <= 0 {
+			t.Errorf("timings stage %q has zero wall time", name)
 		}
 	}
 
@@ -120,7 +115,7 @@ func TestRunContextCancel(t *testing.T) {
 			t.Fatalf("cancel after %q: err = %q, want it to name the stage (%q)", c.cancelAfter, err, want)
 		}
 		if res == nil {
-			t.Fatal("want partial results for manifest writing")
+			t.Fatal("want partial results alongside the error")
 		}
 		names := stageNames(res.Stages)
 		if last := res.Stages[len(res.Stages)-1]; last.Name != c.stopped || last.Err == "" {
@@ -130,9 +125,14 @@ func TestRunContextCancel(t *testing.T) {
 		if got := res.Recovery.LastStage; got != c.lastCkpt {
 			t.Fatalf("cancel after %q: newest checkpoint at %q, want %q", c.cancelAfter, got, c.lastCkpt)
 		}
-		// The manifest of an aborted run must still serialise.
-		if _, err := res.Manifest("test").MarshalIndent(); err != nil {
-			t.Fatal(err)
+		// The event log, all an aborted run leaves, records the
+		// cancellation on the interrupted stage.
+		var logged bool
+		for _, e := range elog.Events() {
+			logged = logged || (e.Type == obs.EventStageEnd && e.Name == c.stopped && e.Err != "")
+		}
+		if !logged {
+			t.Fatalf("cancel after %q: event log has no failed %s stage-end", c.cancelAfter, c.stopped)
 		}
 	}
 }

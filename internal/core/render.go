@@ -9,6 +9,7 @@ import (
 	"repro/internal/abuse"
 	"repro/internal/analysis"
 	"repro/internal/content"
+	"repro/internal/obs"
 	"repro/internal/pdns"
 	"repro/internal/providers"
 	"repro/internal/report"
@@ -202,7 +203,7 @@ func (r *Results) RenderSummary() string {
 
 // RenderStageTimings prints the per-stage wall/CPU breakdown of the run.
 func (r *Results) RenderStageTimings() string {
-	return report.StageTimings(r.Stages)
+	return report.StageTimings(obs.FlattenStages(r.Stages))
 }
 
 // RenderMetrics prints the highlights of the run's metric snapshot.

@@ -22,113 +22,85 @@ type TraceEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// ChromeTraceEvents flattens a span tree (and, optionally, the non-span
-// entries of an event log) into trace events. Each root span gets its own
-// lane (tid), children share their root's lane; instants land on lane 0.
-// Timestamps are microseconds relative to the earliest span start, so the
-// trace opens at t=0 in any viewer.
-func ChromeTraceEvents(recs []SpanRecord, log *EventLog) []TraceEvent {
+// ChromeTraceEvents renders an event log as trace events. A stage start
+// opens a lane (tid) named after the stage, and a nested span takes the
+// lane of the stage open when it starts, which holds because stages run one
+// after another. Spans are complete events in start order; the matching end
+// event supplies the duration, CPU, error and attributes, and a span whose
+// end never arrived renders with zero duration. Every other event is an
+// instant on lane 0. Timestamps are the log's own microseconds since it was
+// created, so the trace opens near t=0 in any viewer.
+func ChromeTraceEvents(events []Event) []TraceEvent {
 	var out []TraceEvent
-	base := int64(0)
-	// The base is the earliest absolute instant we know about: the first
-	// span start, or the log's birth if that precedes it.
-	first := true
-	consider := func(us int64) {
-		if first || us < base {
-			base, first = us, false
-		}
-	}
-	for _, r := range recs {
-		if ts, ok := parseStartUS(r.Start); ok {
-			consider(ts)
-		}
-	}
-	var logStart int64
-	if log != nil && !log.StartTime().IsZero() {
-		logStart = log.StartTime().UTC().UnixMicro()
-		consider(logStart)
-	}
-
-	for i, r := range recs {
-		tid := i + 1
-		out = append(out, TraceEvent{
-			Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-			Args: map[string]string{"name": r.Name},
-		})
-		out = appendSpanEvents(out, r, base, tid, 0)
-	}
-	if log != nil {
-		for _, e := range log.Events() {
-			switch e.Type {
-			case EventSpanStart, EventSpanEnd, EventStageStart, EventStageEnd:
-				continue // already present as complete events
+	open := map[string][]int{} // span name → indices in out of its unclosed starts
+	lanes, lane := 0, 0
+	for _, e := range events {
+		switch e.Type {
+		case EventStageStart, EventSpanStart:
+			if e.Type == EventStageStart {
+				lanes++
+				lane = lanes
+				out = append(out, TraceEvent{
+					Name: "thread_name", Ph: "M", PID: 1, TID: lane,
+					Args: map[string]string{"name": e.Name},
+				})
 			}
+			open[e.Name] = append(open[e.Name], len(out))
+			out = append(out, TraceEvent{Name: e.Name, Ph: "X", TS: e.TUS, PID: 1, TID: lane})
+		case EventStageEnd, EventSpanEnd:
+			starts := open[e.Name]
+			if len(starts) == 0 {
+				continue // an end whose start the log does not hold
+			}
+			open[e.Name] = starts[1:]
+			sp := &out[starts[0]]
+			sp.Dur = e.WallNS / 1e3
+			sp.Args = spanArgs(e)
+			if e.Type == EventStageEnd {
+				lane = 0
+			}
+		default:
 			args := map[string]string{"type": e.Type}
 			for _, a := range e.Attrs {
 				args[a.Key] = a.Value
 			}
 			out = append(out, TraceEvent{
 				Name: e.Type + ":" + e.Name, Ph: "i", S: "p",
-				TS: logStart + e.TUS - base, PID: 1, TID: 0, Args: args,
+				TS: e.TUS, PID: 1, TID: 0, Args: args,
 			})
 		}
 	}
 	return out
 }
 
-// appendSpanEvents emits r and its subtree as complete events on tid. Spans
-// whose start did not parse (hand-built records) inherit their parent's
-// timestamp, preserving duration and nesting if not absolute placement.
-func appendSpanEvents(out []TraceEvent, r SpanRecord, base int64, tid int, parentTS int64) []TraceEvent {
-	ts := parentTS
-	if abs, ok := parseStartUS(r.Start); ok {
-		ts = abs - base
-	}
+// spanArgs collects a span end event's attributes, CPU and error.
+func spanArgs(e Event) map[string]string {
 	args := map[string]string{}
-	for _, a := range r.Attrs {
+	for _, a := range e.Attrs {
 		args[a.Key] = a.Value
 	}
-	if r.CPUNS > 0 {
-		args["cpu"] = time.Duration(r.CPUNS).String()
+	if e.CPUNS > 0 {
+		args["cpu"] = time.Duration(e.CPUNS).String()
 	}
-	if r.Err != "" {
-		args["err"] = r.Err
+	if e.Err != "" {
+		args["err"] = e.Err
 	}
 	if len(args) == 0 {
-		args = nil
+		return nil
 	}
-	out = append(out, TraceEvent{
-		Name: r.Name, Ph: "X", TS: ts, Dur: r.WallNS / 1e3,
-		PID: 1, TID: tid, Args: args,
-	})
-	for _, c := range r.Children {
-		out = appendSpanEvents(out, c, base, tid, ts)
-	}
-	return out
+	return args
 }
 
-func parseStartUS(s string) (int64, bool) {
-	if s == "" {
-		return 0, false
-	}
-	t, err := time.Parse(time.RFC3339Nano, s)
-	if err != nil {
-		return 0, false
-	}
-	return t.UTC().UnixMicro(), true
-}
-
-// WriteChromeTrace renders the span tree (plus optional event-log instants)
-// as a Chrome trace-event JSON array, the format Perfetto's "Open trace
-// file" accepts directly. log may be nil.
-func WriteChromeTrace(w io.Writer, recs []SpanRecord, log *EventLog) error {
-	events := ChromeTraceEvents(recs, log)
-	if events == nil {
-		events = []TraceEvent{}
+// WriteChromeTrace renders an event log as a Chrome trace-event JSON array,
+// the format Perfetto's "Open trace file" accepts directly.
+func WriteChromeTrace(w io.Writer, events []Event) error {
+	out := ChromeTraceEvents(events)
+	if out == nil {
+		out = []TraceEvent{}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	if err := enc.Encode(events); err != nil {
+	if err := enc.Encode(out); err != nil {
 		return fmt.Errorf("obs: chrome trace: %w", err)
 	}
 	return nil

@@ -93,6 +93,16 @@ func (l *EventLog) EmitMetrics(name string, reg *Registry) {
 	l.emit(Event{Type: EventMetrics, Name: name, Metrics: &s})
 }
 
+// Degradation is one class of absorbed failure within one pipeline stage:
+// Count occurrences of Kind (e.g. "conn-retries", "dropped-records")
+// during Stage ("probe", "identify", ...). A resilient run is only
+// trustworthy if it also says exactly how degraded it was.
+type Degradation struct {
+	Stage string `json:"stage"`
+	Kind  string `json:"kind"`
+	Count int64  `json:"count"`
+}
+
 // EmitDegradation appends one absorbed-failure record.
 func (l *EventLog) EmitDegradation(d Degradation) {
 	l.emit(Event{Type: EventDegradation, Name: d.Kind, Attrs: []Attr{

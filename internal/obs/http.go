@@ -21,7 +21,7 @@ import (
 //	/metrics        registry snapshot as indented JSON (expvar-style)
 //	/metrics.prom   registry in Prometheus text exposition format
 //	/trace          current span tree as JSON
-//	/trace.json     current span tree as a Chrome trace-event array
+//	/trace.json     event log so far as a Chrome trace-event array
 //	                (open it in Perfetto or chrome://tracing)
 //	/events         structured event log so far, as JSON Lines
 //	/debug/pprof/*  the standard net/http/pprof profiles
@@ -59,7 +59,7 @@ func Handler(reg *Registry, tr *Trace, elog *EventLog, mounts ...Mount) http.Han
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		WriteChromeTrace(w, tr.Records(), elog)
+		WriteChromeTrace(w, elog.Events())
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")

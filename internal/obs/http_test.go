@@ -14,11 +14,10 @@ func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("pdns_records_total").Add(11)
 	tr := NewTrace()
-	ctx := ContextWithTrace(context.Background(), tr)
+	elog := NewEventLog()
+	ctx := ContextWithEventLog(ContextWithTrace(context.Background(), tr), elog)
 	_, sp := StartSpan(ctx, "identify")
 	sp.End()
-
-	elog := NewEventLog()
 	elog.Emit(EventNote, "hello")
 	srv := httptest.NewServer(Handler(reg, tr, elog))
 	defer srv.Close()

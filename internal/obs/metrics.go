@@ -1,8 +1,8 @@
 // Package obs is the pipeline's observability layer: a concurrent-safe
 // metrics registry (counters, gauges, fixed-bucket histograms), a span/trace
 // API for per-stage timing with process-CPU attribution, a JSON+pprof
-// introspection endpoint, and the RunManifest provenance record written at
-// the end of every instrumented run.
+// introspection endpoint, and the structured event log of every
+// instrumented run, with its Chrome trace rendering.
 //
 // The package depends only on the standard library and is designed so that
 // instrumentation can be compiled into the hot substrates unconditionally:

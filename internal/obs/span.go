@@ -156,7 +156,7 @@ func (s *Span) SetAttr(key string, value any) {
 }
 
 // SetError records err on the span (nil clears nothing and is a no-op), so
-// cancelled or failed stages are visible in the trace and manifest.
+// cancelled or failed stages are visible in the trace and the event log.
 func (s *Span) SetError(err error) {
 	if s == nil || err == nil {
 		return
@@ -236,7 +236,7 @@ func (s *Span) Record() SpanRecord {
 
 // SpanRecord is the immutable, JSON-serialisable form of a finished span.
 // Durations appear both as nanosecond integers (machine-readable) and
-// formatted strings (human-readable manifests).
+// formatted strings (the human-readable /trace endpoint).
 type SpanRecord struct {
 	Name     string       `json:"name"`
 	Start    string       `json:"start,omitempty"` // RFC3339Nano, UTC

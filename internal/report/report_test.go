@@ -3,6 +3,8 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -133,5 +135,29 @@ func TestHistogramHelper(t *testing.T) {
 	out := Histogram("h", []Point{{"0.0-0.5", 4}, {"0.5-1.0", 2}}, 10)
 	if !strings.Contains(out, "0.0-0.5") {
 		t.Errorf("histogram missing bucket:\n%s", out)
+	}
+}
+
+// TestStageTimings pins the stage table scfpipe prints, rendered from a
+// hand-built span tree through FlattenStages: a root with attributes and a
+// nested child with attributes and no CPU, then a root with an error.
+func TestStageTimings(t *testing.T) {
+	tree := []obs.SpanRecord{
+		{Name: "identify", WallNS: 150e6, CPUNS: 100e6,
+			Attrs: []obs.Attr{{Key: "records", Value: "1234"}, {Key: "workers", Value: "4"}},
+			Children: []obs.SpanRecord{
+				{Name: "emit-shard-0", WallNS: 140_250_000, Attrs: []obs.Attr{{Key: "records", Value: "617"}}},
+			}},
+		{Name: "probe", WallNS: 2e9, CPUNS: 12e8, Err: "context canceled"},
+	}
+	want := "Stage timings\n" +
+		"Stage           Wall      CPU    Share   Notes                 \n" +
+		"--------------  --------  -----  ------  ----------------------\n" +
+		"identify        150ms     100ms  6.98%   records=1234 workers=4\n" +
+		"  emit-shard-0  140.25ms  -              records=617           \n" +
+		"probe           2s        1.2s   93.02%  ERR: context canceled \n" +
+		"total           2.15s                                          \n"
+	if got := StageTimings(obs.FlattenStages(tree)); got != want {
+		t.Fatalf("stage table drifted.\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

@@ -8,43 +8,14 @@ import (
 	"repro/internal/obs"
 )
 
-// StageTimings renders a run's span tree as an aligned stage-timing table:
-// one row per span, children indented, with wall time, process-CPU time
-// (stages only: nested spans record none and show "-"), the share of total
-// root wall time, and any recorded attributes or errors. This
-// is the human-readable face of the RunManifest.
-func StageTimings(recs []obs.SpanRecord) string {
-	t := NewTable("Stage timings", "Stage", "Wall", "CPU", "Share", "Notes")
-	var total time.Duration
-	for _, r := range recs {
-		total += time.Duration(r.WallNS)
-	}
-	var add func(r obs.SpanRecord, depth int)
-	add = func(r obs.SpanRecord, depth int) {
-		wall := time.Duration(r.WallNS)
-		share := ""
-		if depth == 0 && total > 0 {
-			share = Pct(float64(wall) / float64(total))
-		}
-		t.AddRow(strings.Repeat("  ", depth)+r.Name,
-			fmtDur(wall), fmtDur(time.Duration(r.CPUNS)), share, stageNotes(r))
-		for _, c := range r.Children {
-			add(c, depth+1)
-		}
-	}
-	for _, r := range recs {
-		add(r, 0)
-	}
-	t.AddRow("total", fmtDur(total), "", "", "")
-	return t.String()
-}
-
-// StageTimingsFlat renders archived stage rows (the obs.FlattenStages form
-// stored in a run's timings.json) with the same table shape StageTimings
-// produces from a live span tree: depth recovered from the slash-joined
-// path, root-stage share of total wall time, errors in the notes column.
-// `scfruns show` prints this, so the archive and the live run read alike.
-func StageTimingsFlat(stages []obs.StageTiming) string {
+// StageTimings renders stage rows (the obs.FlattenStages form a run's
+// timings.json stores) as an aligned stage-timing table: one row per span,
+// children indented by the depth of their slash-joined path, with wall
+// time, process-CPU time (stages only: nested spans record none and show
+// "-"), the share of total root wall time, and any recorded attributes or
+// errors. scfpipe prints it for a live run and `scfruns show` for an
+// archived one, so the two read alike.
+func StageTimings(stages []obs.StageTiming) string {
 	t := NewTable("Stage timings", "Stage", "Wall", "CPU", "Share", "Notes")
 	var total time.Duration
 	for _, s := range stages {
@@ -54,33 +25,26 @@ func StageTimingsFlat(stages []obs.StageTiming) string {
 	}
 	for _, s := range stages {
 		depth := strings.Count(s.Path, "/")
-		name := s.Path
-		if i := strings.LastIndex(s.Path, "/"); i >= 0 {
-			name = s.Path[i+1:]
-		}
+		name := s.Path[strings.LastIndex(s.Path, "/")+1:]
 		share := ""
 		if depth == 0 && total > 0 {
 			share = Pct(float64(s.WallNS) / float64(total))
 		}
-		notes := ""
-		if s.Err != "" {
-			notes = "ERR: " + s.Err
-		}
 		t.AddRow(strings.Repeat("  ", depth)+name,
-			fmtDur(time.Duration(s.WallNS)), fmtDur(time.Duration(s.CPUNS)), share, notes)
+			fmtDur(time.Duration(s.WallNS)), fmtDur(time.Duration(s.CPUNS)), share, stageNotes(s))
 	}
 	t.AddRow("total", fmtDur(total), "", "", "")
 	return t.String()
 }
 
-// stageNotes flattens a span's attributes (and error, if any) to one cell.
-func stageNotes(r obs.SpanRecord) string {
-	parts := make([]string, 0, len(r.Attrs)+1)
-	for _, a := range r.Attrs {
+// stageNotes flattens a stage row's attributes (and error, if any) to one cell.
+func stageNotes(s obs.StageTiming) string {
+	parts := make([]string, 0, len(s.Attrs)+1)
+	for _, a := range s.Attrs {
 		parts = append(parts, a.Key+"="+a.Value)
 	}
-	if r.Err != "" {
-		parts = append(parts, "ERR: "+r.Err)
+	if s.Err != "" {
+		parts = append(parts, "ERR: "+s.Err)
 	}
 	return strings.Join(parts, " ")
 }
@@ -104,7 +68,8 @@ func fmtDur(d time.Duration) string {
 
 // MetricsSummary renders the highlights of a metrics snapshot: request
 // latency quantiles from the probe histogram, cache hit rates, and cold/warm
-// start counts. Full detail lives in the manifest and the /metrics endpoint.
+// start counts. Full detail lives in the archived timings.json and the
+// /metrics endpoint.
 func MetricsSummary(s obs.Snapshot) string {
 	var b strings.Builder
 	b.WriteString("Run metrics\n")

@@ -1,13 +1,19 @@
 // Package runs is the pipeline's persistent run-history layer: every
-// instrumented run archives its provenance (manifest, event log, Chrome
-// trace, per-stage timings, metric snapshots, calibration shares, artifact
-// fingerprints) under .runs/<run-id>/, and the package's differ and gate
-// turn two archives into a regression verdict. The archive splits into a
-// deterministic half (summary.json and artifacts/ — a pure function of
-// seed, config, and workers) and a machine-varying half (timings.json,
-// manifest.json, events.jsonl, trace.json, profiles/), so "did the
-// measurement change?" and "did the measurement get slower?" are separately
-// answerable.
+// instrumented run archives its provenance under .runs/<run-id>/, and the
+// package's differ and gate turn two archives into a regression verdict.
+// The archive splits into a deterministic half (summary.json and
+// artifacts/ — a pure function of seed, config, and workers) and a
+// machine-varying half, so "did the measurement change?" and "did the
+// measurement get slower?" are separately answerable. Each file holds
+// different facts:
+//
+//	summary.json   config, degradations, calibration shares, fingerprints
+//	artifacts/     the rendered tables and figures
+//	timings.json   the end-of-run state: stage rows, final metric
+//	               snapshot, health, resources, checkpoint lineage
+//	events.jsonl   the time-ordered log of stages, spans and notes
+//	trace.json     events.jsonl rendered as a Chrome trace, for Perfetto
+//	profiles/, timeline.jsonl, checkpoints/   when the run records them
 package runs
 
 import (
@@ -15,6 +21,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,7 +38,6 @@ import (
 const (
 	SummaryFile  = "summary.json"
 	TimingsFile  = "timings.json"
-	ManifestFile = "manifest.json"
 	EventsFile   = "events.jsonl"
 	TraceFile    = "trace.json"
 	ArtifactsDir = "artifacts"
@@ -127,14 +133,13 @@ type RecoveryInfo struct {
 	LastStage string `json:"last_stage,omitempty"`
 }
 
-// Archive is everything a finishing run hands to Write. Manifest, Events,
-// and Trace are optional; Artifacts maps file name to rendered content.
+// Archive is everything a finishing run hands to Write. Events is optional
+// and, when set, is written both as events.jsonl and rendered as
+// trace.json; Artifacts maps file name to rendered content.
 type Archive struct {
 	Summary   Summary
 	Timings   Timings
-	Manifest  *obs.Manifest
 	Events    *obs.EventLog
-	Trace     []obs.SpanRecord
 	Artifacts map[string]string
 	// Profiles are the run's captured pprof snapshots, written under
 	// profiles/ on the machine-varying side: they are never fingerprinted
@@ -276,35 +281,14 @@ func writeArchiveFiles(dir string, a *Archive) error {
 	if err := writeJSON(filepath.Join(dir, TimingsFile), a.Timings); err != nil {
 		return err
 	}
-	if a.Manifest != nil {
-		if err := a.Manifest.WriteFile(filepath.Join(dir, ManifestFile)); err != nil {
-			return err
-		}
-	}
 	if a.Events != nil {
-		f, err := os.Create(filepath.Join(dir, EventsFile))
-		if err != nil {
-			return fmt.Errorf("runs: %w", err)
+		if err := writeFile(filepath.Join(dir, EventsFile), a.Events.WriteJSONL); err != nil {
+			return fmt.Errorf("runs: events: %w", err)
 		}
-		werr := a.Events.WriteJSONL(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("runs: events: %w", werr)
-		}
-	}
-	if a.Trace != nil {
-		f, err := os.Create(filepath.Join(dir, TraceFile))
-		if err != nil {
-			return fmt.Errorf("runs: %w", err)
-		}
-		werr := obs.WriteChromeTrace(f, a.Trace, a.Events)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("runs: trace: %w", werr)
+		if err := writeFile(filepath.Join(dir, TraceFile), func(w io.Writer) error {
+			return obs.WriteChromeTrace(w, a.Events.Events())
+		}); err != nil {
+			return fmt.Errorf("runs: trace: %w", err)
 		}
 	}
 	if len(a.Artifacts) > 0 {
@@ -332,19 +316,27 @@ func writeArchiveFiles(dir string, a *Archive) error {
 		}
 	}
 	if len(a.Timeline) > 0 {
-		f, err := os.Create(filepath.Join(dir, TimelineFile))
-		if err != nil {
-			return fmt.Errorf("runs: %w", err)
-		}
-		werr := timeline.WriteJSONL(f, a.Timeline)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("runs: timeline: %w", werr)
+		if err := writeFile(filepath.Join(dir, TimelineFile), func(w io.Writer) error {
+			return timeline.WriteJSONL(w, a.Timeline)
+		}); err != nil {
+			return fmt.Errorf("runs: timeline: %w", err)
 		}
 	}
 	return nil
+}
+
+// writeFile creates path and fills it through render, reporting the first
+// of the render and close errors.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := render(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }
 
 func writeJSON(path string, v any) error {
@@ -440,7 +432,7 @@ func ListWarn(root string) ([]*Record, []string, error) {
 // as opposed to being an unrelated directory that happens to live under the
 // runs root.
 func looksPartial(dir string) bool {
-	for _, name := range []string{SummaryFile, TimingsFile, ManifestFile, EventsFile, TraceFile, CheckpointsDir, ProfilesDir, TimelineFile} {
+	for _, name := range []string{SummaryFile, TimingsFile, EventsFile, TraceFile, CheckpointsDir, ProfilesDir, TimelineFile} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
 			return true
 		}

@@ -147,16 +147,17 @@ func TestWriteOptionalPieces(t *testing.T) {
 	elog.Emit(obs.EventNote, "hello")
 	a := sampleArchive("2026-08-06T00:00:00Z")
 	a.Events = elog
-	a.Trace = []obs.SpanRecord{{Name: "identify", WallNS: 1e9}}
-	a.Manifest = &obs.Manifest{Tool: "test"}
 	dir, err := Write(root, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{SummaryFile, TimingsFile, ManifestFile, EventsFile, TraceFile} {
+	for _, f := range []string{SummaryFile, TimingsFile, EventsFile, TraceFile} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Fatalf("missing %s: %v", f, err)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
+		t.Fatalf("manifest.json written (stat err %v); the archive keeps one record per fact", err)
 	}
 	b, err := os.ReadFile(filepath.Join(dir, TraceFile))
 	if err != nil {

@@ -1,8 +1,13 @@
 package runs
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // The committed golden archive under testdata/golden is the `make gate`
@@ -102,4 +107,38 @@ func readGoldenArchive(t *testing.T, name string) *Record {
 		}
 	}
 	return rec
+}
+
+// TestGoldenTraceRendersEvents: each committed cell's trace.json is exactly
+// what WriteChromeTrace renders from the cell's own events.jsonl, so the
+// trace is a view of the event log and never a second record.
+func TestGoldenTraceRendersEvents(t *testing.T) {
+	for _, cell := range []string{"golden", "golden-chaos", "golden-c2"} {
+		dir := filepath.Join("testdata", cell)
+		f, err := os.Open(filepath.Join(dir, EventsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []obs.Event
+		dec := json.NewDecoder(f)
+		for dec.More() {
+			var e obs.Event
+			if err := dec.Decode(&e); err != nil {
+				t.Fatalf("%s: %s: %v", cell, EventsFile, err)
+			}
+			events = append(events, e)
+		}
+		f.Close()
+		var got bytes.Buffer
+		if err := obs.WriteChromeTrace(&got, events); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(dir, TraceFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: %s is not the rendering of %s", cell, TraceFile, EventsFile)
+		}
+	}
 }
