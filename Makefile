@@ -73,14 +73,28 @@ report:
 
 # Continuous profiling pass: run the golden configuration with -profile (the
 # run ID and every deterministic fingerprint are unchanged by profiling, so
-# this shares the gate's .runs slot), then render the CPU hotspot + stage
-# attribution tables into PROF_HOTSPOTS.md. The rendering is deterministic
-# for a fixed profile; the profile contents are machine-varying by design.
+# this shares the gate's .runs slot), then render the run-wide CPU profile
+# with the toolchain's pprof into PROF_HOTSPOTS.md: the top 25 functions by
+# flat time, and the sample totals per pprof label. The rendering is
+# byte-identical for a fixed profile; the profile contents are
+# machine-varying by design. The target fails unless the label block
+# attributes samples to stage=probe, which shows the stage labels reached the
+# CPU profile. For the other archived profiles see README "Continuous
+# profiling" (allocs/block/mutex are cumulative: diff a stage against the
+# previous one with -diff_base).
+PROF_CPU = .runs/r-3ed4ac535b0d/profiles/pipeline-cpu.pb.gz
+
 prof:
 	$(GO) run ./cmd/scfpipe -seed 1 -scale 0.01 -workers 4 -chaos none -skip-c2 \
 		-profile -run-dir .runs > /dev/null
-	$(GO) run ./cmd/scfruns prof show -dir .runs -o PROF_HOTSPOTS.md r-3ed4ac535b0d
+	@set -e; { \
+		echo '# CPU hotspots: golden run r-3ed4ac535b0d'; echo; \
+		echo '```'; $(GO) tool pprof -top -nodecount=25 $(PROF_CPU); echo '```'; echo; \
+		echo '```'; $(GO) tool pprof -tags $(PROF_CPU); echo '```'; \
+	} > PROF_HOTSPOTS.md
 	@cat PROF_HOTSPOTS.md
+	@awk '/^ [^ ]+: Total/ { s = ($$1 == "stage:") } s && /\): probe$$/ { f = 1 } END { exit !f }' PROF_HOTSPOTS.md \
+		|| { echo "prof: the CPU profile's stage label block has no probe line" >&2; exit 1; }
 
 # Telemetry timeline pass: run the golden configuration with observer
 # sampling on (the timeline lands on the archive's machine-varying side, so

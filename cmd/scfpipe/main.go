@@ -65,8 +65,9 @@
 // shard index inside parallel aggregation), plus heap/allocs/block/mutex
 // snapshots at every stage boundary. Profiles land on the archive's
 // machine-varying side under profiles/ — toggling -profile never moves the
-// run ID or any artifact fingerprint. Inspect them with
-// `scfruns prof show|diff`.
+// run ID or any artifact fingerprint. Read them with `go tool pprof`: for
+// example `go tool pprof -top .runs/<id>/profiles/pipeline-cpu.pb.gz`, or
+// `-tags` on the same file for the stage attribution.
 //
 // With -sample-interval the run's observer samples on that interval, and
 // each sample does three jobs at once: the health rules above, per-stage

@@ -17,8 +17,6 @@
 //	scfruns bench -i BENCH.txt -history BENCH_history.jsonl -label pr-7
 //	scfruns matrix -cells 'scale=0.01;workers=1,8;chaos=none,heavy'
 //	scfruns report -bench BENCH_pipeline.json -history BENCH_history.jsonl
-//	scfruns prof show r-1a2b3c4d5e6f        # hotspots + stage attribution
-//	scfruns prof diff -baseline r-aaaa r-bbbb
 //	scfruns timeline r-1a2b3c4d5e6f         # windowed telemetry + anomalies
 //	scfruns timeline -diff r-aaaa r-bbbb    # when did behaviour diverge?
 //
@@ -47,13 +45,9 @@
 // default 1.10x) so an allocation regression fails the gate even when
 // wall-clock time hides it.
 //
-// prof reads the pprof profiles a `scfpipe -profile` run archived under
-// profiles/: show renders deterministic per-function hotspot tables and the
-// stage/shard label attribution of the CPU profile; diff renders the
-// per-function flat-share drift between two runs, refusing to compare when
-// either side holds fewer samples than -min-samples. Profile drift is also
-// printed by gate as an advisory section when both sides are profiled, but
-// it never fails the gate: profile contents are machine-varying.
+// show lists the pprof profiles a `scfpipe -profile` run archived under
+// profiles/ in one line; read the files themselves with `go tool pprof`
+// (README "Continuous profiling").
 //
 // Exit codes: 0 success, 1 runtime error or gate violation, 2 usage error.
 package main
@@ -69,7 +63,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -77,7 +70,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/timeline"
-	"repro/internal/prof"
 	"repro/internal/report"
 	"repro/internal/runs"
 )
@@ -124,8 +116,6 @@ func run(args []string) int {
 		err = cmdMatrix(args[1:])
 	case "report":
 		err = cmdReport(args[1:])
-	case "prof":
-		err = cmdProf(args[1:])
 	case "timeline":
 		err = cmdTimeline(args[1:])
 	case "-h", "-help", "--help", "help":
@@ -156,7 +146,7 @@ func run(args []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: scfruns <list|show|diff|gate|bench|matrix|report|prof|timeline> [flags] [args]
+	fmt.Fprintln(os.Stderr, `usage: scfruns <list|show|diff|gate|bench|matrix|report|timeline> [flags] [args]
 
   list                     list archived runs under -dir, newest first
   show <run>               print one archive: config, stages, calibration
@@ -171,10 +161,6 @@ func usage() {
                            under <dir>/matrix/<cell-id>/
   report                   render the matrix + bench + trajectory report
                            as deterministic Markdown
-  prof show <run>          render hotspot + label-attribution tables from a
-                           run's archived pprof profiles
-  prof diff -baseline <run> <candidate>
-                           per-function CPU flat% drift between two runs
   timeline <run>           render a run's windowed-telemetry timeline as a
                            deterministic Markdown table with anomaly callouts
                            (-json for raw windows, -o to write a file)
@@ -508,13 +494,6 @@ func cmdGate(args []string) error {
 			fmt.Println()
 		}
 		violations = append(violations, rep.Gate(opts)...)
-		// Advisory only: profile contents are machine-varying, so hotspot
-		// drift informs the verdict's reader but never fails the gate. Most
-		// runs (including the golden baseline) are unprofiled; then this
-		// prints nothing.
-		if adv := profAdvisory(a.Dir, b.Dir); adv != "" {
-			fmt.Println(adv)
-		}
 	} else if fs.NArg() > 0 {
 		return usageError{"gate: candidate given without -baseline"}
 	}
@@ -679,8 +658,6 @@ func cmdReport(args []string) error {
 		bench     = fs.String("bench", "", "current bench JSON (from 'scfruns bench')")
 		benchBase = fs.String("bench-base", "", "baseline bench JSON to delta against")
 		history   = fs.String("history", "", "perf-trajectory JSONL (BENCH_history.jsonl)")
-		profRun   = fs.String("prof", "", "run (directory or ID under -dir) whose CPU profile renders the hotspots section")
-		profBase  = fs.String("prof-base", "", "baseline run to drift the -prof run's CPU hotspots against")
 		out       = fs.String("o", "", "write the Markdown report here instead of stdout")
 	)
 	if err := parse(fs, args); err != nil {
@@ -719,262 +696,12 @@ func cmdReport(args []string) error {
 			return err
 		}
 	}
-	if *profBase != "" && *profRun == "" {
-		return usageError{"report: -prof-base given without -prof"}
-	}
-	if *profRun != "" {
-		// Tolerant by design: a report over an unprofiled run renders every
-		// other section and just drops the hotspots, so one CI job can cover
-		// both profiled and unprofiled pipelines.
-		if hot, herr := renderProfHotspots(*dir, *profRun, *profBase); herr != nil {
-			log.Printf("warning: %v; omitting the CPU hotspots section", herr)
-		} else {
-			in.ProfHotspots = hot
-		}
-	}
 	md := runs.RenderPerfReport(in)
 	if *out != "" {
 		return os.WriteFile(*out, []byte(md), 0o644)
 	}
 	fmt.Print(md)
 	return nil
-}
-
-// profDiffMinSamples is the default min-sample floor for profile drift: both
-// sides need this much total flat value (nanoseconds for CPU profiles, so
-// 100ms of samples) before per-function shares are considered comparable.
-// Tiny profiles render as "not comparable" instead of screaming drift.
-const profDiffMinSamples = 100_000_000
-
-// cmdProf dispatches the profile sub-subcommands.
-func cmdProf(args []string) error {
-	if len(args) < 1 {
-		return usageError{"prof: want a subcommand (show or diff)"}
-	}
-	switch args[0] {
-	case "show":
-		return cmdProfShow(args[1:])
-	case "diff":
-		return cmdProfDiff(args[1:])
-	case "-h", "-help", "--help", "help":
-		fmt.Fprintln(os.Stderr, `usage: scfruns prof <show|diff> [flags] [args]
-
-  show [-kind cpu] [-top 20] [-o file] <run>
-                           hotspot + label-attribution tables from the run's
-                           archived profiles of one kind
-  diff -baseline <run> [-kind cpu] [-stage s] [-min-samples n] <candidate>
-                           per-function flat-share drift between two runs'
-                           profiles (advisory; small profiles never compare)`)
-		return nil
-	default:
-		return usageError{fmt.Sprintf("prof: unknown subcommand %q (want show or diff)", args[0])}
-	}
-}
-
-func cmdProfShow(args []string) error {
-	fs := flag.NewFlagSet("prof show", flag.ContinueOnError)
-	dir := dirFlag(fs)
-	kind := fs.String("kind", "cpu", "profile kind to render: cpu, heap, allocs, block, or mutex")
-	top := fs.Int("top", 20, "functions per hotspot table")
-	out := fs.String("o", "", "write the rendering to this file instead of stdout")
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return usageError{"prof show: want exactly one run argument"}
-	}
-	rdir, err := resolve(*dir, fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	text, err := renderProfShow(rdir, *kind, *top)
-	if err != nil {
-		return err
-	}
-	if *out != "" {
-		return os.WriteFile(*out, []byte(text), 0o644)
-	}
-	fmt.Print(text)
-	return nil
-}
-
-// renderProfShow renders every archived profile of one kind: a per-function
-// hotspot table each, plus (for the CPU profile) the stage and shard label
-// attributions. The rendering is a pure function of the archived bytes —
-// byte-identical across repeated invocations.
-func renderProfShow(rdir, kind string, top int) (string, error) {
-	infos, err := runs.ListProfiles(rdir)
-	if err != nil {
-		return "", err
-	}
-	if len(infos) == 0 {
-		return "", fmt.Errorf("prof: no profiles under %s (re-run the experiment with scfpipe -profile)", filepath.Join(rdir, runs.ProfilesDir))
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "run %s — %s\n\n", filepath.Base(rdir), runs.ProfilesLine(infos))
-	matched := 0
-	for _, info := range infos {
-		if info.Kind != kind {
-			continue
-		}
-		matched++
-		p, err := readRunProfile(rdir, info.Name)
-		if err != nil {
-			return "", err
-		}
-		vi := p.ValueIndex("")
-		fmt.Fprintf(&b, "== %s ==\n\n", info.Name)
-		b.WriteString(prof.RenderTop(p, vi, top))
-		b.WriteString("\n")
-		if kind == "cpu" {
-			b.WriteString(prof.RenderLabels(p, "stage", vi))
-			b.WriteString("\n")
-			b.WriteString(prof.RenderLabels(p, "shard", vi))
-			b.WriteString("\n")
-		}
-	}
-	if matched == 0 {
-		return "", fmt.Errorf("prof: no %q profiles in %s (%s)", kind, rdir, runs.ProfilesLine(infos))
-	}
-	return b.String(), nil
-}
-
-func cmdProfDiff(args []string) error {
-	fs := flag.NewFlagSet("prof diff", flag.ContinueOnError)
-	dir := dirFlag(fs)
-	baseline := fs.String("baseline", "", "baseline run (directory or run ID; required)")
-	kind := fs.String("kind", "cpu", "profile kind to diff: cpu, heap, allocs, block, or mutex")
-	stage := fs.String("stage", "", "stage whose profile to diff (default: the CPU profile, or the kind's only stage)")
-	minSamples := fs.Int64("min-samples", profDiffMinSamples, "total flat value required on both sides before shares are comparable")
-	top := fs.Int("top", 20, "rows in the drift table")
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	if *baseline == "" {
-		return usageError{"prof diff: -baseline is required"}
-	}
-	if fs.NArg() != 1 {
-		return usageError{"prof diff: want exactly one candidate run argument"}
-	}
-	bdir, err := resolve(*dir, *baseline)
-	if err != nil {
-		return err
-	}
-	cdir, err := resolve(*dir, fs.Arg(0))
-	if err != nil {
-		return fmt.Errorf("candidate: %w", err)
-	}
-	base, name, err := loadRunProfile(bdir, *kind, *stage)
-	if err != nil {
-		return err
-	}
-	cand, _, err := loadRunProfile(cdir, *kind, *stage)
-	if err != nil {
-		return fmt.Errorf("candidate: %w", err)
-	}
-	d := prof.DiffFlat(base, cand, "", *minSamples)
-	fmt.Printf("profile drift %s: %s -> %s\n\n", name, filepath.Base(bdir), filepath.Base(cdir))
-	fmt.Print(prof.RenderDrift(d, *top))
-	return nil
-}
-
-// loadRunProfile picks and decodes one profile of a run by kind and stage.
-// An empty stage means "the obvious one": the run-wide CPU profile for cpu,
-// or the kind's only archived stage; ambiguity is an error naming the
-// choices rather than a silent pick.
-func loadRunProfile(rdir, kind, stage string) (*prof.Profile, string, error) {
-	if stage == "" && kind == "cpu" {
-		stage = prof.CPUSnapshotStage
-	}
-	infos, err := runs.ListProfiles(rdir)
-	if err != nil {
-		return nil, "", err
-	}
-	var candidates []runs.ProfileInfo
-	for _, info := range infos {
-		if info.Kind != kind {
-			continue
-		}
-		if stage != "" && info.Stage != stage {
-			continue
-		}
-		candidates = append(candidates, info)
-	}
-	switch len(candidates) {
-	case 0:
-		return nil, "", fmt.Errorf("prof: no %q profile for stage %q in %s", kind, stage, rdir)
-	case 1:
-		p, err := readRunProfile(rdir, candidates[0].Name)
-		return p, candidates[0].Name, err
-	default:
-		stages := make([]string, 0, len(candidates))
-		for _, c := range candidates {
-			stages = append(stages, c.Stage)
-		}
-		return nil, "", fmt.Errorf("prof: %d %q profiles in %s; pick one with -stage (%s)", len(candidates), kind, rdir, strings.Join(stages, ", "))
-	}
-}
-
-// readRunProfile reads and decodes one archived profile file.
-func readRunProfile(rdir, name string) (*prof.Profile, error) {
-	data, err := runs.ReadProfile(rdir, name)
-	if err != nil {
-		return nil, err
-	}
-	p, err := prof.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("prof: %s: %w", name, err)
-	}
-	return p, nil
-}
-
-// profAdvisory renders the advisory CPU-drift block of a gate verdict: when
-// both sides archived a CPU profile, their per-function flat shares are
-// diffed and shown. It never contributes a violation — profile contents are
-// machine-varying — and returns "" when either side is unprofiled.
-func profAdvisory(baseDir, candDir string) string {
-	base, _, berr := loadRunProfile(baseDir, "cpu", "")
-	cand, _, cerr := loadRunProfile(candDir, "cpu", "")
-	if berr != nil || cerr != nil {
-		return ""
-	}
-	d := prof.DiffFlat(base, cand, "", profDiffMinSamples)
-	var b strings.Builder
-	b.WriteString("CPU hotspot drift (advisory — profiles are machine-varying and never gate):\n\n")
-	b.WriteString(prof.RenderDrift(d, 10))
-	return b.String()
-}
-
-// renderProfHotspots builds the perf report's CPU hotspots section: the
-// candidate run's hotspot tables, plus a drift table when a baseline run
-// with a CPU profile is named.
-func renderProfHotspots(root, runArg, baseArg string) (string, error) {
-	rdir, err := resolve(root, runArg)
-	if err != nil {
-		return "", err
-	}
-	hot, err := renderProfShow(rdir, "cpu", 15)
-	if err != nil {
-		return "", err
-	}
-	if baseArg == "" {
-		return hot, nil
-	}
-	bdir, err := resolve(root, baseArg)
-	if err != nil {
-		return "", err
-	}
-	base, name, err := loadRunProfile(bdir, "cpu", "")
-	if err != nil {
-		return "", err
-	}
-	cand, _, err := loadRunProfile(rdir, "cpu", "")
-	if err != nil {
-		return "", err
-	}
-	d := prof.DiffFlat(base, cand, "", profDiffMinSamples)
-	return hot + fmt.Sprintf("== drift %s: %s -> %s ==\n\n", name, filepath.Base(bdir), filepath.Base(rdir)) +
-		prof.RenderDrift(d, 10), nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -45,6 +45,7 @@ func TestRunDispatchExitCodes(t *testing.T) {
 		{"matrix positional args", []string{"matrix", "stray"}, 2},
 		{"report empty root ok", []string{"report", "-dir", t.TempDir()}, 0},
 		{"bench missing input", []string{"bench", "-i", "no-such-file.txt"}, 1},
+		{"prof is not a subcommand", []string{"prof", "show", "x"}, 2},
 	} {
 		if got := run(tc.args); got != tc.want {
 			t.Errorf("%s: run(%v) = %d, want %d", tc.name, tc.args, got, tc.want)

@@ -95,20 +95,7 @@ type Config struct {
 	// provider's probe circuit. 0 selects the default (50 under chaos,
 	// disabled otherwise); negative disables the breaker outright.
 	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rests before a half-open
-	// trial; defaults to 5×ProbeTimeout.
-	BreakerCooldown time.Duration
 
-	// C2Concurrency bounds concurrent fingerprint scans; C2Timeout bounds
-	// each probe connection (stalling unreachable hosts dominate sweep
-	// time, so this defaults shorter than ProbeTimeout).
-	C2Concurrency int
-	C2Timeout     time.Duration
-	// C2ScanAll also sweeps hosts whose HTTP probe already failed with a
-	// timeout or DNS error. The paper probed every domain; the default
-	// skips known-unreachable hosts because re-timing-out on 52 probes per
-	// host only burns wall clock.
-	C2ScanAll bool
 	// SkipC2Scan skips the fingerprint sweep entirely.
 	SkipC2Scan bool
 
@@ -177,15 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
-	}
-	if c.C2Concurrency <= 0 {
-		c.C2Concurrency = 32
-	}
-	if c.C2Timeout <= 0 {
-		c.C2Timeout = c.ProbeTimeout / 2
-		if c.C2Timeout > time.Second {
-			c.C2Timeout = time.Second
-		}
 	}
 	if c.MaxClusterDocs == 0 {
 		// 0 is "use the default cap"; negative survives as "no cap".
@@ -291,8 +269,8 @@ func (r *Results) configMeta() map[string]string {
 		"max_cluster_docs":  fmt.Sprint(r.Config.MaxClusterDocs),
 		"probe_concurrency": fmt.Sprint(r.Config.ProbeConcurrency),
 		"probe_timeout":     r.Config.ProbeTimeout.String(),
-		"c2_concurrency":    fmt.Sprint(r.Config.C2Concurrency),
-		"c2_timeout":        r.Config.C2Timeout.String(),
+		"c2_concurrency":    fmt.Sprint(c2Concurrency),
+		"c2_timeout":        c2Timeout(r.Config.ProbeTimeout).String(),
 		"skip_c2_scan":      fmt.Sprint(r.Config.SkipC2Scan),
 		"chaos":             r.Config.Chaos.String(),
 	}
@@ -327,9 +305,6 @@ func (c Config) resolve() (Config, error) {
 	}
 	if c.BreakerThreshold == 0 && enabled {
 		c.BreakerThreshold = 50
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * c.ProbeTimeout
 	}
 	return c, nil
 }
@@ -768,14 +743,14 @@ func (p *pipeline) classify(ctx context.Context, sp *obs.Span) error {
 	}
 	p.docs = nil // consumed, as the corpus is in cluster
 	if !cfg.SkipC2Scan {
-		c2Targets := p.targets
-		if !cfg.C2ScanAll {
-			c2Targets = c2Targets[:0:0]
-			for i := range res.ProbeResults {
-				r := &res.ProbeResults[i]
-				if r.Reachable || r.Failure == probe.FailConn {
-					c2Targets = append(c2Targets, r.FQDN)
-				}
+		// The paper probed every domain; the sweep skips hosts whose HTTP
+		// probe already timed out or failed DNS, because re-timing-out on 52
+		// probes per host only burns wall clock.
+		var c2Targets []string
+		for i := range res.ProbeResults {
+			r := &res.ProbeResults[i]
+			if r.Reachable || r.Failure == probe.FailConn {
+				c2Targets = append(c2Targets, r.FQDN)
 			}
 		}
 		cctx, csp := obs.StartSpan(ctx, "c2-sweep")
@@ -834,7 +809,8 @@ func (p *pipeline) disclosure(_ context.Context, sp *obs.Span) error {
 func probeConfig(cfg Config, pop *workload.Population, resolver *dnssim.Resolver, edge *faas.Edge, injector *fault.Injector, reg *obs.Registry) probe.Config {
 	var breaker probe.Breaker
 	if cfg.BreakerThreshold > 0 {
-		br := fault.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+		// An open circuit rests 5×ProbeTimeout before a half-open trial.
+		br := fault.NewBreaker(cfg.BreakerThreshold, 5*cfg.ProbeTimeout)
 		br.Instrument(reg)
 		breaker = br
 	}
@@ -970,13 +946,22 @@ func clusterByType(docs []string, types []content.Type, cfg Config) map[content.
 	return out
 }
 
+// c2Concurrency bounds concurrent fingerprint scans.
+const c2Concurrency = 32
+
+// c2Timeout bounds each C2 probe connection: half the probe timeout, at most
+// a second, because stalling unreachable hosts dominate sweep time.
+func c2Timeout(probeTimeout time.Duration) time.Duration {
+	return min(probeTimeout/2, time.Second)
+}
+
 // scanC2 sweeps every target with the fingerprint scanner through the plain
-// edge listener, bounded by cfg.C2Concurrency. A cancelled ctx stops
+// edge listener, c2Concurrency hosts at a time. A cancelled ctx stops
 // scheduling new hosts and aborts in-flight scans.
 func scanC2(ctx context.Context, cfg Config, edge *faas.Edge, db *c2.DB, reg *obs.Registry, targets []string) []c2.Detection {
 	scanner := c2.NewScanner(db)
 	scanner.Instrument(reg)
-	scanner.Timeout = cfg.C2Timeout
+	scanner.Timeout = c2Timeout(cfg.ProbeTimeout)
 	scanner.Dial = func(ctx context.Context, _, _ string) (net.Conn, error) {
 		return edge.DialPlain(ctx)
 	}
@@ -985,7 +970,7 @@ func scanC2(ctx context.Context, cfg Config, edge *faas.Edge, db *c2.DB, reg *ob
 		out []c2.Detection
 		wg  sync.WaitGroup
 	)
-	sem := make(chan struct{}, cfg.C2Concurrency)
+	sem := make(chan struct{}, c2Concurrency)
 	for _, host := range targets {
 		if ctx.Err() != nil {
 			break

@@ -1,19 +1,12 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
-	"time"
-
-	rpprof "runtime/pprof"
-
-	profdec "repro/internal/prof"
 )
 
 // Handler serves live introspection for a running pipeline:
@@ -24,11 +17,9 @@ import (
 //	/trace.json     event log so far as a Chrome trace-event array
 //	                (open it in Perfetto or chrome://tracing)
 //	/events         structured event log so far, as JSON Lines
-//	/debug/pprof/*  the standard net/http/pprof profiles
-//	/debug/pprof/delta-heap
-//	                heap growth over a window: two heap snapshots
-//	                ?seconds= apart (default 3, clamped to [1,30]),
-//	                diffed per function and rendered as text
+//	/debug/pprof/*  the standard net/http/pprof profiles; a named profile
+//	                with ?seconds=N (/debug/pprof/heap?seconds=5, say) is
+//	                the delta over that window, for go tool pprof to read
 //	/               a plain-text index of the above
 //
 // Any of reg, tr, elog may be nil; the corresponding endpoint then serves an
@@ -65,7 +56,6 @@ func Handler(reg *Registry, tr *Trace, elog *EventLog, mounts ...Mount) http.Han
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		elog.WriteJSONL(w)
 	})
-	mux.HandleFunc("/debug/pprof/delta-heap", deltaHeap)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -84,7 +74,7 @@ func Handler(reg *Registry, tr *Trace, elog *EventLog, mounts ...Mount) http.Han
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "pipeline introspection:\n  /metrics\n  /metrics.prom\n  /trace\n  /trace.json\n  /events\n  /debug/pprof/\n  /debug/pprof/delta-heap"+extra)
+		fmt.Fprintln(w, "pipeline introspection:\n  /metrics\n  /metrics.prom\n  /trace\n  /trace.json\n  /events\n  /debug/pprof/"+extra)
 	})
 	return mux
 }
@@ -95,54 +85,6 @@ func Handler(reg *Registry, tr *Trace, elog *EventLog, mounts ...Mount) http.Han
 type Mount struct {
 	Pattern string
 	Handler http.Handler
-}
-
-// deltaHeap serves the heap growth over a short window: it captures a heap
-// profile, waits ?seconds= (default 3, clamped to [1,30]), captures again,
-// and renders the per-function inuse_space delta — "what grew while you
-// watched" — without needing the pprof CLI on the observing machine.
-func deltaHeap(w http.ResponseWriter, r *http.Request) {
-	secs := 3
-	if v := r.URL.Query().Get("seconds"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			http.Error(w, "seconds: not an integer", http.StatusBadRequest)
-			return
-		}
-		secs = n
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	capture := func() (*profdec.Profile, error) {
-		var buf bytes.Buffer
-		if err := rpprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
-			return nil, err
-		}
-		return profdec.Decode(buf.Bytes())
-	}
-	base, err := capture()
-	if err != nil {
-		http.Error(w, "delta-heap: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	select {
-	case <-time.After(time.Duration(secs) * time.Second):
-	case <-r.Context().Done():
-		return // client went away; nothing to serve
-	}
-	cand, err := capture()
-	if err != nil {
-		http.Error(w, "delta-heap: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	d := profdec.DiffFlat(base, cand, "inuse_space", 0)
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "heap growth over %ds (inuse_space delta per function):\n\n", secs)
-	fmt.Fprint(w, profdec.RenderGrowth(d, 25))
 }
 
 // Server is a running introspection endpoint.

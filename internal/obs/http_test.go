@@ -68,6 +68,11 @@ func TestHandlerEndpoints(t *testing.T) {
 	if code, body := get("/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ = %d", code)
 	}
+	// A named profile with ?seconds= is the delta over that window; its body
+	// is a gzipped pprof protobuf for go tool pprof.
+	if code, body := get("/debug/pprof/heap?seconds=1"); code != 200 || !strings.HasPrefix(body, "\x1f\x8b") {
+		t.Fatalf("/debug/pprof/heap?seconds=1 = %d, body starts %q", code, body[:min(len(body), 16)])
+	}
 	if code, body := get("/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Fatalf("index = %d %q", code, body)
 	}

@@ -152,9 +152,14 @@ func (c Config) withDefaults() Config {
 
 // Prober performs the collection.
 type Prober struct {
-	cfg     Config
-	client  *http.Client
-	limiter chan struct{}
+	cfg    Config
+	client *http.Client
+
+	// Campaign rate cap: requests take slots interval apart, handed out in
+	// call order from next (guarded by rateMu). interval is 0 when uncapped.
+	interval time.Duration
+	rateMu   sync.Mutex
+	next     time.Time
 
 	// Live telemetry; every field is a no-op when Config.Metrics is nil.
 	mLatency    *obs.Histogram // probe_request_seconds: per-request wall time
@@ -213,24 +218,13 @@ func New(cfg Config) *Prober {
 			}
 		}
 	}
-	var limiter chan struct{}
+	var interval time.Duration
 	if cfg.RatePerSecond > 0 {
-		limiter = make(chan struct{}, 1)
-		interval := time.Duration(float64(time.Second) / cfg.RatePerSecond)
-		go func() {
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for range tick.C {
-				select {
-				case limiter <- struct{}{}:
-				default:
-				}
-			}
-		}()
+		interval = time.Duration(float64(time.Second) / cfg.RatePerSecond)
 	}
 	return &Prober{
 		cfg:         cfg,
-		limiter:     limiter,
+		interval:    interval,
 		mLatency:    cfg.Metrics.Histogram("probe_request_seconds", nil),
 		mInflight:   cfg.Metrics.Gauge("probe_inflight"),
 		mRequests:   cfg.Metrics.Counter("probe_requests_total"),
@@ -441,14 +435,39 @@ func (p *Prober) backoff(ctx context.Context, fqdn string, try int) bool {
 	}
 }
 
+// pace waits for the caller's slot under the campaign rate cap. It needs no
+// goroutine, so nothing outlives the Prober; a caller whose ctx ends while
+// waiting gives up its slot unused.
+func (p *Prober) pace(ctx context.Context) error {
+	if p.interval <= 0 {
+		return nil
+	}
+	p.rateMu.Lock()
+	now := time.Now()
+	slot := p.next
+	if slot.Before(now) {
+		slot = now
+	}
+	p.next = slot.Add(p.interval)
+	p.rateMu.Unlock()
+	wait := slot.Sub(now)
+	if wait <= 0 {
+		return nil
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // tryScheme issues one parameter-free GET, honouring the campaign rate cap.
 func (p *Prober) tryScheme(ctx context.Context, scheme, fqdn, provider string, res *Result) (bool, error) {
-	if p.limiter != nil {
-		select {
-		case <-p.limiter:
-		case <-ctx.Done():
-			return false, ctx.Err()
-		}
+	if err := p.pace(ctx); err != nil {
+		return false, err
 	}
 	reqStart := time.Now()
 	// Publish the request's deadline on the conn. On a kernel socket this is

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -343,5 +344,32 @@ func TestProbeRateLimit(t *testing.T) {
 	// they finish in a few ms.
 	if elapsed < 200*time.Millisecond {
 		t.Errorf("campaign finished in %v; rate limiter not applied", elapsed)
+	}
+}
+
+// TestRateLimitLeavesNoGoroutines: the rate cap paces requests without a
+// goroutine of its own, so finished campaigns leave the goroutine count
+// where they found it, however many Probers were built. The dialer refuses
+// at once, so no server goroutines blur the count.
+func TestRateLimitLeavesNoGoroutines(t *testing.T) {
+	refuse := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		return nil, errors.New("connection refused")
+	}
+	fqdns := []string{"a.lambda-url.us-east-1.on.aws", "b.lambda-url.us-east-1.on.aws"}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		p := New(Config{DialContext: refuse, Timeout: time.Second, RatePerSecond: 1000, Concurrency: 2})
+		for _, r := range p.ProbeAll(context.Background(), fqdns) {
+			if r.Reachable {
+				t.Fatalf("probe through a refusing dialer reached %s", r.FQDN)
+			}
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 5 rate-capped campaigns, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

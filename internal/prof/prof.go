@@ -1,10 +1,20 @@
 // Package prof is the pipeline's continuous-profiling subsystem: a capture
 // manager that records one CPU profile across a whole run (with per-stage /
 // per-shard attribution riding on runtime/pprof labels) plus heap, allocs,
-// block, and mutex snapshots at every stage boundary, and a minimal decoder
-// for the resulting pprof protobuf that folds samples into deterministic
-// hotspot and drift tables — no github.com/google/pprof dependency, stdlib
-// only.
+// block, and mutex snapshots at every stage boundary. It writes profiles and
+// never reads them: the archived files are the standard gzipped pprof
+// protobuf, read with `go tool pprof` (README "Continuous profiling").
+//
+// What a boundary snapshot <stage>-<kind>.pb.gz holds:
+//
+//   - heap: in-use memory as of the last GC before the boundary;
+//   - allocs, block, mutex: cumulative since process start (block and mutex
+//     since Start turned their sampling on), not the stage's own cost.
+//
+// One stage's own allocations, blocking or contention are the difference
+// from the previous stage's snapshot of the same kind:
+//
+//	go tool pprof -diff_base=<previous-stage>-<kind>.pb.gz <stage>-<kind>.pb.gz
 //
 // Profiles observe a run, they never change one: everything captured here
 // lands on the machine-varying half of a run archive
@@ -55,7 +65,7 @@ const (
 
 // Capturer records a run's profiles: Start begins the run-wide CPU capture
 // (and turns on block/mutex sampling), StageBoundary snapshots the
-// SnapshotKinds for the stage that just finished, and Stop closes the CPU
+// SnapshotKinds as the current stage ends, and Stop closes the CPU
 // capture and returns every snapshot taken. A nil *Capturer is a valid
 // no-op — NewCapturer(false) returns one — so callers wire it
 // unconditionally and let the enabling flag decide whether it exists.
@@ -110,11 +120,12 @@ func (c *Capturer) Err() error {
 }
 
 // StageBoundary marks the transition into stage next: it snapshots every
-// SnapshotKind for the stage that was current (none on the first call — no
-// stage has finished yet) and makes next the current stage. Boundary
-// snapshots capture the runtime state a stage left behind, which is what a
-// leak hunt wants: "the heap after identify" rather than "the heap at some
-// instant inside it".
+// SnapshotKind under the name of the stage that was current (none on the
+// first call — no stage has finished yet) and makes next the current stage.
+// A snapshot is the process's state when that stage ended: the heap it left
+// in use ("the heap after identify", what a leak hunt wants), and the
+// allocs, block and mutex totals accumulated by it and every stage before
+// it. Diff against the previous stage's snapshot for the stage alone.
 func (c *Capturer) StageBoundary(next string) {
 	if c == nil {
 		return

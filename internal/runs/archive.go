@@ -520,15 +520,6 @@ func TimelineAnomalies(dir string) (int, bool) {
 	return timeline.AnomalyCount(ws), true
 }
 
-// ReadProfile returns the raw bytes of one archived profile.
-func ReadProfile(dir, name string) ([]byte, error) {
-	b, err := os.ReadFile(filepath.Join(dir, ProfilesDir, name))
-	if err != nil {
-		return nil, fmt.Errorf("runs: %w", err)
-	}
-	return b, nil
-}
-
 // ProfilesLine renders a one-line inventory of a run's profiles, grouped by
 // kind with per-kind stage counts and total bytes — compact enough for the
 // show view's header block.

@@ -1,8 +1,8 @@
 package runs
 
 // Target is one of the paper's published scale-invariant results with the
-// acceptance band the reproduction must stay inside. The bands mirror the
-// tolerances EXPERIMENTS.md is generated with, so a calibration failure in
+// acceptance band the reproduction must stay inside. EXPERIMENTS.md judges
+// its calibration rows by these same bands, so a calibration failure in
 // `scfruns gate` and a "**NO**" row in EXPERIMENTS.md mean the same thing.
 type Target struct {
 	Name  string  `json:"name"`

@@ -28,7 +28,7 @@ func TestWriteProfilesKeepLast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReadProfile(dir, "probe-heap.pb.gz")
+	b, err := os.ReadFile(filepath.Join(dir, ProfilesDir, "probe-heap.pb.gz"))
 	if err != nil {
 		t.Fatal(err)
 	}

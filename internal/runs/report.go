@@ -27,11 +27,6 @@ type PerfReportInput struct {
 	BenchBase *BenchSet
 	// History is the perf trajectory, oldest first.
 	History []HistoryEntry
-	// ProfHotspots is a pre-rendered CPU-hotspot section (from
-	// `scfruns prof show`/`diff`); empty means no profiling data, and the
-	// section is omitted. The caller renders it because the prof package
-	// cannot import runs (runs already imports prof).
-	ProfHotspots string
 }
 
 // sparkRunes are the eight-level resolution of the trajectory sparklines.
@@ -51,12 +46,6 @@ func RenderPerfReport(in PerfReportInput) string {
 	renderCellResources(&b, in.Cells)
 	renderBenchSection(&b, in.Bench, in.BenchBase)
 	renderTrajectory(&b, in.History)
-	if in.ProfHotspots != "" {
-		b.WriteString("\n## CPU hotspots\n\n")
-		b.WriteString("```\n")
-		b.WriteString(strings.TrimRight(in.ProfHotspots, "\n"))
-		b.WriteString("\n```\n")
-	}
 	return b.String()
 }
 
