@@ -39,7 +39,8 @@ chaos:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Snapshot of the parallel-substrate benchmarks in both formats: the raw
+# Snapshot of the parallel-substrate benchmarks and the C2 scanner's per-host
+# benchmark (kernel socket and in-memory edge) in both formats: the raw
 # `go test -bench` text lands in BENCH_pipeline.txt (benchstat consumes it
 # directly: `benchstat old.txt BENCH_pipeline.txt`), and scfruns parses it
 # into structured BENCH_pipeline.json (`scfruns gate -bench-base old.json
@@ -51,7 +52,7 @@ bench:
 # tee pipe, whose exit status would mask a bench failure), and the parse step
 # errors out when the capture contains zero benchmark lines.
 bench-json:
-	$(GO) test -bench 'EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|FunctionStream' \
+	$(GO) test -bench 'EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|FunctionStream|C2ScanHost' \
 		-benchmem -count=5 -run=^$$ ./... > BENCH_pipeline.txt 2>&1 \
 		|| { cat BENCH_pipeline.txt; rm -f BENCH_pipeline.txt; exit 1; }
 	cat BENCH_pipeline.txt

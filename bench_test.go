@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -481,27 +482,72 @@ func BenchmarkC2Fingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkC2ScanHost measures a full 26-signature network scan of one live
-// relay (per op).
+// BenchmarkC2ScanHost measures the full 26-signature scan of a host (52
+// probe connections). socket scans one live relay over kernel loopback;
+// edge scans one relay and one ordinary function per op through the path
+// the pipeline's C2 sweep runs: faas.StartEdge, the Gateway and the
+// Platform, dialled as scanC2 dials.
 func BenchmarkC2ScanHost(b *testing.B) {
 	db := c2.DefaultDB()
-	relay, err := c2.NewRelay(db, c2.FamilyCobaltStrike)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer relay.Close()
-	s := c2.NewScanner(db)
-	s.Timeout = time.Second
-	s.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, network, relay.Addr())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ds := s.ScanHost(context.Background(), "relay.example"); len(ds) == 0 {
-			b.Fatal("relay not detected")
+	b.Run("socket", func(b *testing.B) {
+		relay, err := c2.NewRelay(db, c2.FamilyCobaltStrike)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
+		defer relay.Close()
+		s := c2.NewScanner(db)
+		s.Timeout = time.Second
+		s.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, network, relay.Addr())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ds := s.ScanHost(context.Background(), "relay.example"); len(ds) == 0 {
+				b.Fatal("relay not detected")
+			}
+		}
+	})
+	b.Run("edge", func(b *testing.B) {
+		const (
+			relay    = "relay.lambda-url.us-east-1.on.aws"
+			ordinary = "plain.lambda-url.us-east-1.on.aws"
+		)
+		platform := faas.NewPlatform()
+		platform.Deploy(relay, providers.AWS, "us-east-1", faas.Config{}, func(ctx *faas.InvokeContext) faas.Response {
+			r := ctx.Request
+			status, ct, body, _ := c2.BannerResponse(db, c2.FamilyCobaltStrike, r.Method, r.Path, r.Headers, r.Body)
+			return faas.Response{Status: status, Headers: map[string]string{"Content-Type": ct}, Body: body}
+		}, time.Time{})
+		body := []byte(`{"status":"ok"}`)
+		platform.Deploy(ordinary, providers.AWS, "us-east-1", faas.Config{}, func(*faas.InvokeContext) faas.Response {
+			return faas.Response{Status: 200, Headers: map[string]string{"Content-Type": "application/json"}, Body: body}
+		}, time.Time{})
+		gw := faas.NewGateway(platform)
+		// Each invocation a simulated second after the last, so executions
+		// complete and the functions never reach their concurrency limit.
+		start, calls := workload.DeployWindowClock()(), atomic.Int64{}
+		gw.Clock = func() time.Time { return start.Add(time.Duration(calls.Add(1)) * time.Second) }
+		edge, err := faas.StartEdge(gw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer edge.Close()
+		s := c2.NewScanner(db)
+		s.Timeout = time.Second
+		s.Dial = func(ctx context.Context, _, _ string) (net.Conn, error) { return edge.DialPlain(ctx) }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if ds := s.ScanHost(context.Background(), relay); len(ds) == 0 {
+				b.Fatal("relay not detected")
+			}
+			if ds := s.ScanHost(context.Background(), ordinary); len(ds) != 0 {
+				b.Fatalf("ordinary function detected as a relay: %+v", ds)
+			}
+		}
+	})
 }
 
 // ---- §5.5: threat-intel gap ----

@@ -12,8 +12,12 @@
 //	scfprobe -f domains.txt
 //	pdnsgen -scale 0.001 | cut -f1 | sort -u | scfprobe
 //	scfprobe -f domains.txt -retries 2 -breaker 20   # resilient campaign
+//	scfprobe -f domains.txt -rate 5                  # at most 5 requests/s
 //	scfprobe -f domains.txt -chaos heavy,seed=3      # rehearse a bad day
 //	scfprobe -f domains.txt -events run.jsonl
+//
+// -rate caps the whole campaign's request rate, the §3.3 prober's rate
+// limit; the default, 0, leaves it uncapped.
 //
 // -retries adds bounded exponential-backoff retries after connection-class
 // failures, and -breaker opens a per-provider circuit after that many
@@ -53,6 +57,7 @@ func main() {
 		file        = flag.String("f", "-", "file with one FQDN per line (- for stdin)")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request timeout")
 		concurrency = flag.Int("c", 16, "concurrent probes")
+		rate        = flag.Float64("rate", 0, "campaign-wide cap in requests per second (0 = uncapped)")
 		verifyOnly  = flag.Bool("identify-only", false, "only classify domains against provider patterns; no network contact")
 		optOutFile  = flag.String("opt-out", "", "file of FQDNs that must never be contacted")
 		retries     = flag.Int("retries", 0, "extra attempts per scheme after connection-class failures")
@@ -61,6 +66,9 @@ func main() {
 		eventsFile  = flag.String("events", "", "write the campaign's structured event log to this JSONL file")
 	)
 	flag.Parse()
+	if *rate < 0 {
+		log.Fatalf("-rate %v: must be 0 (uncapped) or positive", *rate)
+	}
 
 	var chaosProf fault.Profile
 	if *chaos != "" {
@@ -95,10 +103,11 @@ func main() {
 	ctx := obs.ContextWithEventLog(context.Background(), elog)
 
 	cfg := probe.Config{
-		Timeout:     *timeout,
-		Concurrency: *concurrency,
-		Retries:     *retries,
-		Metrics:     reg,
+		Timeout:       *timeout,
+		Concurrency:   *concurrency,
+		RatePerSecond: *rate,
+		Retries:       *retries,
+		Metrics:       reg,
 		// Label the outcome/latency vectors per provider, so the campaign's
 		// metric snapshot answers "whose endpoints failed" directly.
 		Provider: func(fqdn string) string {

@@ -3,9 +3,9 @@ package c2
 import (
 	"context"
 	"crypto/tls"
-	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -72,13 +72,18 @@ func (s *Scanner) ScanHost(ctx context.Context, host string) []Detection {
 		s.mInflight.Add(-1)
 		s.mLatency.Observe(time.Since(start).Seconds())
 	}()
-	var out []Detection
+	var (
+		out []Detection
+		buf []byte // response buffer, reused across the host's probes
+		hit bool
+	)
 	for _, fp := range s.DB.All() {
+		probe := fp.ProbeFor(host)
 		for _, port := range fp.Ports {
 			if ctx.Err() != nil {
 				return out
 			}
-			if s.probeOne(ctx, host, port, fp) {
+			if hit, buf = s.probeOne(ctx, host, port, fp, probe, buf); hit {
 				s.mHits.Inc()
 				out = append(out, Detection{
 					Host: host, Port: port,
@@ -90,34 +95,58 @@ func (s *Scanner) ScanHost(ctx context.Context, host string) []Detection {
 	return out
 }
 
-// probeOne sends one fingerprint probe and matches the response.
-func (s *Scanner) probeOne(ctx context.Context, host string, port int, fp *Fingerprint) bool {
+// probeOne sends one rendered fingerprint probe and matches the response,
+// which it reads into buf. It returns buf, grown if need be, for the next
+// probe; the match keeps no reference to it.
+func (s *Scanner) probeOne(ctx context.Context, host string, port int, fp *Fingerprint, probe, buf []byte) (bool, []byte) {
 	cctx, cancel := context.WithTimeout(ctx, s.Timeout)
 	defer cancel()
 	s.mProbes.Inc()
-	conn, err := s.Dial(cctx, "tcp", net.JoinHostPort(host, fmt.Sprint(port)))
+	conn, err := s.Dial(cctx, "tcp", net.JoinHostPort(host, strconv.Itoa(port)))
 	if err != nil {
 		s.mConnFail.Inc()
-		return false
+		return false, buf
 	}
 	defer conn.Close()
 	if s.TLSPort443 && port == 443 {
 		tc := tls.Client(conn, &tls.Config{ServerName: host, InsecureSkipVerify: true})
 		if err := tc.HandshakeContext(cctx); err != nil {
-			return false
+			return false, buf
 		}
 		conn = tc
 	}
 	deadline := time.Now().Add(s.Timeout)
 	conn.SetDeadline(deadline)
-	if _, err := conn.Write(fp.ProbeFor(host)); err != nil {
-		return false
+	if _, err := conn.Write(probe); err != nil {
+		return false, buf
 	}
-	resp, err := io.ReadAll(io.LimitReader(conn, int64(s.MaxResponse)))
+	resp, err := readAll(conn, buf, s.MaxResponse)
 	if err != nil && len(resp) == 0 {
-		return false
+		return false, resp
 	}
-	return fp.Match.Matches(resp)
+	return fp.Match.Matches(resp), resp
+}
+
+// readAll is io.ReadAll(io.LimitReader(r, limit)) into buf's storage: it
+// reads until EOF, an error or limit bytes, and returns what it read with the
+// error (nil at EOF or at the limit).
+func readAll(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < limit {
+		if len(buf) == cap(buf) {
+			// Grow as io.ReadAll does: 512 bytes first, then doubling.
+			buf = append(buf, make([]byte, max(512, cap(buf)))...)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), limit)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // Families collapses detections to the set of distinct families seen.

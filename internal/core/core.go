@@ -22,6 +22,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -957,7 +958,9 @@ func c2Timeout(probeTimeout time.Duration) time.Duration {
 
 // scanC2 sweeps every target with the fingerprint scanner through the plain
 // edge listener, c2Concurrency hosts at a time. A cancelled ctx stops
-// scheduling new hosts and aborts in-flight scans.
+// scheduling new hosts and aborts in-flight scans. Detections come back
+// sorted by host, each host's in DB order, not in the order the scans
+// finished: seedTI and the verdicts read them first to last.
 func scanC2(ctx context.Context, cfg Config, edge *faas.Edge, db *c2.DB, reg *obs.Registry, targets []string) []c2.Detection {
 	scanner := c2.NewScanner(db)
 	scanner.Instrument(reg)
@@ -989,6 +992,7 @@ func scanC2(ctx context.Context, cfg Config, edge *faas.Edge, db *c2.DB, reg *ob
 		}(host)
 	}
 	wg.Wait()
+	slices.SortStableFunc(out, func(a, b c2.Detection) int { return strings.Compare(a.Host, b.Host) })
 	return out
 }
 

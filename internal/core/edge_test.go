@@ -8,6 +8,7 @@ import (
 	"log"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/probe"
 	"repro/internal/providers"
+	"repro/internal/ti"
 	"repro/internal/workload"
 )
 
@@ -131,5 +133,67 @@ func TestEdgeHeldProbeEndsAtOnce(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("held probe waited instead of timing out at once")
+	}
+}
+
+// TestScanC2SortsByHost feeds scanC2 eight relay hosts in descending order.
+// Scans finish in whatever order the scheduler picks, so the detections, and
+// the four hosts seedTI hands threat intelligence, are only stable if
+// scanC2 sorts them: by host, each host's in DB order.
+func TestScanC2SortsByHost(t *testing.T) {
+	db := c2.DefaultDB()
+	platform := faas.NewPlatform()
+	var hosts []string
+	for i := 8; i >= 1; i-- {
+		fqdn := fmt.Sprintf("relay%d.lambda-url.us-east-1.on.aws", i)
+		hosts = append(hosts, fqdn)
+		platform.Deploy(fqdn, providers.AWS, "us-east-1", faas.Config{}, func(ctx *faas.InvokeContext) faas.Response {
+			r := ctx.Request
+			status, ct, body, _ := c2.BannerResponse(db, c2.FamilyCobaltStrike, r.Method, r.Path, r.Headers, r.Body)
+			return faas.Response{Status: status, Headers: map[string]string{"Content-Type": ct}, Body: body}
+		}, time.Time{})
+	}
+	gw := faas.NewGateway(platform)
+	gw.Clock = workload.DeployWindowClock()
+	edge, err := faas.StartEdge(gw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer edge.Close()
+
+	ds := scanC2(context.Background(), Config{ProbeTimeout: 2 * time.Second}, edge, db, nil, hosts)
+	// Position of each (fingerprint, port) probe in a host's sweep.
+	order := map[string]int{}
+	for _, fp := range db.All() {
+		for _, port := range fp.Ports {
+			order[fmt.Sprintf("%s:%d", fp.ID, port)] = len(order)
+		}
+	}
+	last := map[string]int{}
+	for i, d := range ds {
+		if i > 0 && ds[i-1].Host > d.Host {
+			t.Fatalf("detection %d (%s) follows %s: not sorted by host", i, d.Host, ds[i-1].Host)
+		}
+		pos := order[fmt.Sprintf("%s:%d", d.Fingerprint, d.Port)]
+		if prev, ok := last[d.Host]; ok && prev >= pos {
+			t.Errorf("%s: %s:%d out of DB order", d.Host, d.Fingerprint, d.Port)
+		}
+		last[d.Host] = pos
+	}
+	if len(last) != len(hosts) {
+		t.Fatalf("detected %d of %d relays", len(last), len(hosts))
+	}
+
+	oracle := ti.NewOracle()
+	seedTI(oracle, ds)
+	cov := oracle.Assess(hosts)
+	wantSeeded := "relay1 relay2 relay3 relay4"
+	var seeded []string
+	for _, d := range cov.Domains {
+		seeded = append(seeded, strings.SplitN(d, ".", 2)[0])
+	}
+	slices.Sort(seeded)
+	if got := strings.Join(seeded, " "); got != wantSeeded {
+		t.Errorf("seedTI seeded %q, want the four smallest hosts %q", got, wantSeeded)
 	}
 }

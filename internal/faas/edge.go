@@ -47,8 +47,8 @@ func StartEdge(h http.Handler) (*Edge, error) {
 		return nil, err
 	}
 	e := &Edge{
-		plain: newEdgeListener("edge:80"),
-		tls:   newEdgeListener("edge:443"),
+		plain: newEdgeListener(plainAddr),
+		tls:   newEdgeListener(tlsAddr),
 		srv: &http.Server{
 			Handler:     h,
 			ConnContext: withEdgeConn,
@@ -87,13 +87,13 @@ var errEdgeClosed = errors.New("faas: edge closed: connection refused")
 
 // edgeListener hands the server end of each dialled pair to Accept.
 type edgeListener struct {
-	addr  edgeAddr
+	addr  net.Addr
 	conns chan net.Conn
 	done  chan struct{}
 	once  sync.Once
 }
 
-func newEdgeListener(addr edgeAddr) *edgeListener {
+func newEdgeListener(addr net.Addr) *edgeListener {
 	return &edgeListener{addr: addr, conns: make(chan net.Conn), done: make(chan struct{})}
 }
 
@@ -114,7 +114,7 @@ func (l *edgeListener) Close() error {
 func (l *edgeListener) Addr() net.Addr { return l.addr }
 
 func (l *edgeListener) dial(ctx context.Context) (net.Conn, error) {
-	client, server := newConnPair("edge:client", l.addr)
+	client, server := newConnPair(clientAddr, l.addr)
 	select {
 	case l.conns <- server:
 		return client, nil
@@ -130,6 +130,14 @@ type edgeAddr string
 
 func (a edgeAddr) Network() string { return "edge" }
 func (a edgeAddr) String() string  { return string(a) }
+
+// The edge's addresses, boxed as net.Addr once: net/http asks every conn
+// for its RemoteAddr, and boxing a string per call would allocate.
+var (
+	clientAddr net.Addr = edgeAddr("edge:client")
+	plainAddr  net.Addr = edgeAddr("edge:80")
+	tlsAddr    net.Addr = edgeAddr("edge:443")
+)
 
 // queue is one direction of a conn pair. It is unbounded, so a writer never
 // waits for its reader: a TLS close_notify written to a peer that has
@@ -168,14 +176,23 @@ func (q *queue) expiredLocked() bool {
 // when the server hangs up right after.
 type edgeConn struct {
 	in, out       *queue // in: peer → this end; out: this end → peer
-	local, remote edgeAddr
+	local, remote net.Addr
 }
 
-func newConnPair(a, b edgeAddr) (*edgeConn, *edgeConn) {
-	ab := &queue{ready: make(chan struct{}, 1)}
-	ba := &queue{ready: make(chan struct{}, 1)}
-	return &edgeConn{in: ba, out: ab, local: a, remote: b},
-		&edgeConn{in: ab, out: ba, local: b, remote: a}
+// connPair is both ends of a conn and both of its queues in one allocation
+// (plus the queues' wake-up channels): the C2 sweep dials one per probe.
+type connPair struct {
+	ab, ba queue
+	a, b   edgeConn
+}
+
+func newConnPair(a, b net.Addr) (*edgeConn, *edgeConn) {
+	p := &connPair{}
+	p.ab.ready = make(chan struct{}, 1)
+	p.ba.ready = make(chan struct{}, 1)
+	p.a = edgeConn{in: &p.ba, out: &p.ab, local: a, remote: b}
+	p.b = edgeConn{in: &p.ab, out: &p.ba, local: b, remote: a}
+	return &p.a, &p.b
 }
 
 func (c *edgeConn) Read(b []byte) (int, error) {

@@ -21,7 +21,7 @@ import (
 )
 
 func TestConnPairDeadlineFires(t *testing.T) {
-	c, s := newConnPair("client", "server")
+	c, s := newConnPair(edgeAddr("client"), edgeAddr("server"))
 	defer c.Close()
 	defer s.Close()
 	c.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
@@ -45,7 +45,7 @@ func TestConnPairDeadlineFires(t *testing.T) {
 }
 
 func TestConnPairDrainsBeforeEOF(t *testing.T) {
-	c, s := newConnPair("client", "server")
+	c, s := newConnPair(edgeAddr("client"), edgeAddr("server"))
 	defer c.Close()
 	s.Write([]byte("hello, "))
 	s.Write([]byte("edge"))
@@ -60,7 +60,7 @@ func TestConnPairDrainsBeforeEOF(t *testing.T) {
 }
 
 func TestConnPairHoldBeatsEOF(t *testing.T) {
-	c, s := newConnPair("client", "server")
+	c, s := newConnPair(edgeAddr("client"), edgeAddr("server"))
 	defer c.Close()
 	if s.expirePeer(time.Hour) {
 		t.Fatal("fired a peer that has no deadline")
@@ -89,7 +89,7 @@ func TestConnPairHoldBeatsEOF(t *testing.T) {
 }
 
 func TestConnPairCloseUnblocksRead(t *testing.T) {
-	c, s := newConnPair("client", "server")
+	c, s := newConnPair(edgeAddr("client"), edgeAddr("server"))
 	defer s.Close()
 	read := make(chan error, 1)
 	go func() {
@@ -108,6 +108,23 @@ func TestConnPairCloseUnblocksRead(t *testing.T) {
 }
 
 // heldGateway serves one internal-only function, instrumented into reg.
+var connSink net.Conn
+
+// TestConnPairAllocs pins what a dial costs the heap: the pair and its two
+// wake-up channels, and nothing per address lookup.
+func TestConnPairAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { connSink, _ = newConnPair(clientAddr, plainAddr) }); n != 3 {
+		t.Errorf("newConnPair allocates %v objects, want 3", n)
+	}
+	c, _ := newConnPair(clientAddr, plainAddr)
+	if n := testing.AllocsPerRun(100, func() { _, _ = c.LocalAddr(), c.RemoteAddr() }); n != 0 {
+		t.Errorf("LocalAddr+RemoteAddr allocate %v objects, want 0", n)
+	}
+	if c.RemoteAddr().String() != "edge:80" || c.LocalAddr().String() != "edge:client" {
+		t.Errorf("addrs = %v, %v", c.LocalAddr(), c.RemoteAddr())
+	}
+}
+
 func heldGateway(delay time.Duration) (*Gateway, *obs.Registry, string) {
 	p := NewPlatform()
 	f := deployOne(p, Config{Access: InternalOnly}, okHandler("x"))

@@ -98,7 +98,9 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		Headers: flattenHeader(r.Header),
 		Time:    g.now(),
 	}
-	if r.Body != nil {
+	// The server hands a request without a body http.NoBody; reading it
+	// would only allocate ReadAll's first buffer.
+	if r.Body != nil && r.Body != http.NoBody {
 		req.Body, _ = io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	}
 

@@ -46,12 +46,15 @@ func handlerFor(f *Function, db *c2.DB) faas.Handler {
 	rng := rand.New(lazyrand.New(f.BodySeed))
 	secret := plantSecret(f.SecretKind, rng)
 
+	// The body is converted once per function; every invocation shares the
+	// slice, which nothing downstream writes to.
 	respond := func(status int, ct, body string) faas.Handler {
+		b := []byte(body)
 		return func(ctx *faas.InvokeContext) faas.Response {
 			return faas.Response{
 				Status:  status,
 				Headers: map[string]string{"Content-Type": ct},
-				Body:    []byte(body),
+				Body:    b,
 			}
 		}
 	}
