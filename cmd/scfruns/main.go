@@ -12,11 +12,9 @@
 //	scfruns diff -json r-aaaa r-bbbb      # the same, machine-readable
 //	scfruns gate -baseline internal/runs/testdata/golden
 //	scfruns gate -baseline old/ new/ -wall-tol 3
-//	scfruns gate -matrix-base old/ -matrix-new .runs
+//	scfruns gate -bench-base old.json -bench-new BENCH_pipeline.json
 //	scfruns bench -i BENCH.txt -o BENCH.json
 //	scfruns bench -i BENCH.txt -history BENCH_history.jsonl -label pr-7
-//	scfruns matrix -cells 'scale=0.01;workers=1,8;chaos=none,heavy'
-//	scfruns report -bench BENCH_pipeline.json -history BENCH_history.jsonl
 //	scfruns timeline r-1a2b3c4d5e6f         # windowed telemetry + anomalies
 //	scfruns timeline -diff r-aaaa r-bbbb    # when did behaviour diverge?
 //
@@ -28,22 +26,17 @@
 // per-provider probe error-rate growth or p99 drift (from the labeled
 // metric vectors the timings snapshot carries), new/grown degradations,
 // deterministic-artifact fingerprint changes, or calibration shares leaving
-// the paper's acceptance bands. With -matrix-base it additionally gates
-// every scenario-matrix cell of the candidate root against the same cell of
-// the baseline root, so a regression confined to one corner of the grid
-// (say heavy-chaos workers-8) still fails the gate.
+// the paper's acceptance bands.
 //
-// matrix executes the {scale}×{workers}×{chaos} scenario sweep through the
-// full pipeline, archiving each cell under <dir>/matrix/<cell-id>/ with the
-// observer sampling on; report renders the matrix, bench deltas, and
-// the committed perf trajectory into one deterministic Markdown artifact —
-// two renders over identical archives are byte-identical. bench converts
-// `go test -bench` text into the structured JSON BENCH_pipeline.json holds
-// (appending a trajectory record with -history), and gate's
-// -bench-base/-bench-new compare two such files on both mean ns/op
-// (-bench-tol) and mean allocs/op (-allocs-tol, a plain ratio ceiling,
-// default 1.10x) so an allocation regression fails the gate even when
-// wall-clock time hides it.
+// bench converts `go test -bench` text into the structured JSON
+// BENCH_pipeline.json holds (appending a record to the BENCH_history.jsonl
+// ledger with -history), stamped with goos, goarch, cpu, GOMAXPROCS and the
+// Go version. gate's -bench-base/-bench-new compare two such files on both
+// mean ns/op (-bench-tol) and mean allocs/op (-allocs-tol, a plain ratio
+// ceiling, default 1.10x) so an allocation regression fails the gate even
+// when wall-clock time hides it. Two files whose stamps differ, or either of
+// whose stamps is incomplete, are not comparable: gate prints the first such
+// field in place of the deltas and counts it as a violation.
 //
 // show lists the pprof profiles a `scfpipe -profile` run archived under
 // profiles/ in one line; read the files themselves with `go tool pprof`
@@ -53,7 +46,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -62,13 +54,11 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/obs/timeline"
 	"repro/internal/report"
 	"repro/internal/runs"
@@ -112,10 +102,6 @@ func run(args []string) int {
 		err = cmdGate(args[1:])
 	case "bench":
 		err = cmdBench(args[1:])
-	case "matrix":
-		err = cmdMatrix(args[1:])
-	case "report":
-		err = cmdReport(args[1:])
 	case "timeline":
 		err = cmdTimeline(args[1:])
 	case "-h", "-help", "--help", "help":
@@ -146,21 +132,18 @@ func run(args []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: scfruns <list|show|diff|gate|bench|matrix|report|timeline> [flags] [args]
+	fmt.Fprintln(os.Stderr, `usage: scfruns <list|show|diff|gate|bench|timeline> [flags] [args]
 
   list                     list archived runs under -dir, newest first
   show <run>               print one archive: config, stages, calibration
   diff <a> <b>             compare two archives dimension by dimension
   gate -baseline <run> [candidate]
                            diff + thresholds; exit 1 on regression
-                           (-matrix-base/-matrix-new gate per matrix cell)
+                           (-bench-base/-bench-new gate two bench JSONs
+                           taken with the same stamp)
   bench -i in.txt -o out.json
                            parse 'go test -bench' text into structured JSON
-                           (-history/-label append a trajectory record)
-  matrix -cells <spec>     run the scenario sweep; one archive per cell
-                           under <dir>/matrix/<cell-id>/
-  report                   render the matrix + bench + trajectory report
-                           as deterministic Markdown
+                           (-history/-label append a ledger record)
   timeline <run>           render a run's windowed-telemetry timeline as a
                            deterministic Markdown table with anomaly callouts
                            (-json for raw windows, -o to write a file)
@@ -453,8 +436,6 @@ func cmdGate(args []string) error {
 		benchNew   = fs.String("bench-new", "", "candidate bench JSON to gate against -bench-base")
 		benchTol   = fs.Float64("bench-tol", 0.5, "mean ns/op regression tolerance as a ratio above 1")
 		allocsTol  = fs.Float64("allocs-tol", 1.10, "mean allocs/op regression ceiling as a plain ratio (<= 0 disables)")
-		matrixBase = fs.String("matrix-base", "", "baseline archive root whose matrix/ cells gate the candidate's")
-		matrixNew  = fs.String("matrix-new", "", "candidate archive root for -matrix-base (default: -dir)")
 		quiet      = fs.Bool("quiet", false, "suppress the full diff; print only violations")
 	)
 	if err := parse(fs, args); err != nil {
@@ -498,21 +479,6 @@ func cmdGate(args []string) error {
 		return usageError{"gate: candidate given without -baseline"}
 	}
 
-	if *matrixNew != "" && *matrixBase == "" {
-		return usageError{"gate: -matrix-new given without -matrix-base"}
-	}
-	if *matrixBase != "" {
-		candRoot := *matrixNew
-		if candRoot == "" {
-			candRoot = *dir
-		}
-		mv, err := runs.GateMatrix(*matrixBase, candRoot, opts)
-		if err != nil {
-			return err
-		}
-		violations = append(violations, mv...)
-	}
-
 	if (*benchBase == "") != (*benchNew == "") {
 		return usageError{"gate: -bench-base and -bench-new must be given together"}
 	}
@@ -526,13 +492,13 @@ func cmdGate(args []string) error {
 			return err
 		}
 		if !*quiet {
-			fmt.Println(runs.RenderBenchDiff(runs.DiffBench(ba, bb)))
+			fmt.Println(runs.RenderBenchDiff(ba, bb))
 		}
 		violations = append(violations, runs.GateBench(ba, bb, *benchTol, *allocsTol)...)
 	}
 
-	if *baseline == "" && *benchBase == "" && *matrixBase == "" {
-		return usageError{"gate: nothing to gate (need -baseline, -matrix-base, and/or -bench-base/-bench-new)"}
+	if *baseline == "" && *benchBase == "" {
+		return usageError{"gate: nothing to gate (need -baseline and/or -bench-base/-bench-new)"}
 	}
 
 	if len(violations) > 0 {
@@ -559,7 +525,7 @@ func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	in := fs.String("i", "", "bench text input file (default: stdin)")
 	out := fs.String("o", "", "JSON output file (default: stdout)")
-	history := fs.String("history", "", "append a trajectory record to this JSONL file")
+	history := fs.String("history", "", "append a ledger record to this JSONL file")
 	label := fs.String("label", "", "label for the -history record (e.g. a git revision)")
 	if err := parse(fs, args); err != nil {
 		return err
@@ -577,6 +543,7 @@ func cmdBench(args []string) error {
 	if err != nil {
 		return err
 	}
+	set.GoVersion = runtime.Version()
 	if *history != "" {
 		e := runs.HistoryEntryFrom(set, *label, time.Now().UTC().Format(time.RFC3339))
 		if err := runs.AppendHistory(*history, e); err != nil {
@@ -594,114 +561,6 @@ func cmdBench(args []string) error {
 		w = f
 	}
 	return set.WriteJSON(w)
-}
-
-func cmdMatrix(args []string) error {
-	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
-	dir := dirFlag(fs)
-	var (
-		cellSpec    = fs.String("cells", runs.DefaultCellSpec, "scenario spec: ';'-separated scale=/workers=/chaos= dimensions, ','-separated values")
-		seed        = fs.Int64("seed", 1, "substrate seed shared by every cell")
-		skipC2      = fs.Bool("skip-c2", true, "skip the C2 fingerprint sweep in each cell")
-		timeout     = fs.Duration("probe-timeout", 2*time.Second, "per-request probe timeout")
-		sampleEvery = fs.Duration("sample-interval", 50*time.Millisecond, "observer sampling interval: per-stage resources and timeline windows (0 disables both)")
-	)
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return usageError{"matrix: unexpected positional arguments"}
-	}
-	cells, err := runs.ParseCells(*cellSpec)
-	if err != nil {
-		return err
-	}
-	root := filepath.Join(*dir, runs.MatrixDir)
-	log.Printf("matrix: %d cell(s) under %s", len(cells), root)
-	for _, cell := range cells {
-		chaosProf, err := fault.ParseProfile(cell.Chaos)
-		if err != nil {
-			return err
-		}
-		// Each cell gets a fresh registry/trace/event log so archives never
-		// bleed telemetry into each other.
-		reg, tr, elog := obs.NewRegistry(), obs.NewTrace(), obs.NewEventLog()
-		ctx := obs.ContextWithEventLog(obs.ContextWithTrace(context.Background(), tr), elog)
-		start := time.Now()
-		res, err := core.RunContext(ctx, core.Config{
-			Seed:           *seed,
-			Scale:          cell.Scale,
-			Workers:        cell.Workers,
-			Chaos:          chaosProf,
-			SkipC2Scan:     *skipC2,
-			ProbeTimeout:   *timeout,
-			Metrics:        reg,
-			SampleInterval: *sampleEvery,
-		})
-		if err != nil {
-			return fmt.Errorf("matrix: cell %s: %w", cell.ID(), err)
-		}
-		slot := filepath.Join(root, cell.ID())
-		if err := runs.WriteDir(slot, res.BuildArchive("scfruns-matrix", elog)); err != nil {
-			return err
-		}
-		log.Printf("matrix: cell %s done in %v", cell.ID(), time.Since(start).Round(time.Millisecond))
-	}
-	return nil
-}
-
-func cmdReport(args []string) error {
-	fs := flag.NewFlagSet("report", flag.ContinueOnError)
-	dir := dirFlag(fs)
-	var (
-		baseDir   = fs.String("baseline-dir", "", "baseline archive root whose matrix cells provide the Δ columns")
-		bench     = fs.String("bench", "", "current bench JSON (from 'scfruns bench')")
-		benchBase = fs.String("bench-base", "", "baseline bench JSON to delta against")
-		history   = fs.String("history", "", "perf-trajectory JSONL (BENCH_history.jsonl)")
-		out       = fs.String("o", "", "write the Markdown report here instead of stdout")
-	)
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	if fs.NArg() > 0 {
-		return usageError{"report: unexpected positional arguments"}
-	}
-	var in runs.PerfReportInput
-	var err error
-	if in.Cells, err = runs.ListMatrix(*dir); err != nil {
-		return err
-	}
-	if *baseDir != "" {
-		baseCells, err := runs.ListMatrix(*baseDir)
-		if err != nil {
-			return err
-		}
-		in.Baselines = make(map[string]*runs.Record, len(baseCells))
-		for _, rec := range baseCells {
-			in.Baselines[filepath.Base(rec.Dir)] = rec
-		}
-	}
-	if *bench != "" {
-		if in.Bench, err = readBenchFile(*bench); err != nil {
-			return err
-		}
-	}
-	if *benchBase != "" {
-		if in.BenchBase, err = readBenchFile(*benchBase); err != nil {
-			return err
-		}
-	}
-	if *history != "" {
-		if in.History, err = runs.ReadHistory(*history); err != nil {
-			return err
-		}
-	}
-	md := runs.RenderPerfReport(in)
-	if *out != "" {
-		return os.WriteFile(*out, []byte(md), 0o644)
-	}
-	fmt.Print(md)
-	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -37,13 +40,11 @@ func TestRunDispatchExitCodes(t *testing.T) {
 		{"gate bad err-tol", []string{"gate", "-err-tol", "banana"}, 2},
 		{"gate bench flags unpaired", []string{"gate", "-bench-base", "x.json"}, 2},
 		{"gate candidate without baseline", []string{"gate", "some-run"}, 2},
-		{"gate matrix-new without matrix-base", []string{"gate", "-matrix-new", "x"}, 2},
 		{"show no args", []string{"show"}, 2},
 		{"show unknown run", []string{"show", "-dir", t.TempDir(), "r-nope"}, 1},
 		{"diff wrong arity", []string{"diff", "only-one"}, 2},
-		{"matrix bad cell spec", []string{"matrix", "-cells", "shards=4"}, 1},
-		{"matrix positional args", []string{"matrix", "stray"}, 2},
-		{"report empty root ok", []string{"report", "-dir", t.TempDir()}, 0},
+		{"matrix is not a subcommand", []string{"matrix"}, 2},
+		{"report is not a subcommand", []string{"report", "-dir", t.TempDir()}, 2},
 		{"bench missing input", []string{"bench", "-i", "no-such-file.txt"}, 1},
 		{"prof is not a subcommand", []string{"prof", "show", "x"}, 2},
 	} {
@@ -71,78 +72,87 @@ func TestRunBenchHistoryAppend(t *testing.T) {
 	if len(set.Results) != 2 || set.Results[0].Base != "BenchmarkTable2Resolution" {
 		t.Fatalf("bench JSON wrong: %+v", set.Results)
 	}
-	entries, err := runs.ReadHistory(hist)
+	if set.GOMAXPROCS != 8 || set.CPU != "Test CPU" || set.GoVersion != runtime.Version() {
+		t.Fatalf("bench stamp wrong: %+v", set.Stamp)
+	}
+	b, err := os.ReadFile(hist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Label != "pr-7" {
-		t.Fatalf("history wrong: %+v", entries)
+	var entry runs.HistoryEntry
+	if err := json.Unmarshal(b, &entry); err != nil {
+		t.Fatalf("history must hold one JSON record: %v\n%s", err, b)
 	}
-	if ns := entries[0].Bench["BenchmarkTable2Resolution"].NsPerOp; ns != 10100 {
+	if entry.Label != "pr-7" || entry.Stamp != set.Stamp {
+		t.Fatalf("history wrong: %+v", entry)
+	}
+	if ns := entry.Bench["BenchmarkTable2Resolution"].NsPerOp; ns != 10100 {
 		t.Fatalf("history mean ns/op: want 10100, got %v", ns)
 	}
 }
 
-// matrixCell writes one minimal cell archive so gate/report paths can be
-// exercised without running the pipeline.
-func matrixCell(t *testing.T, root string, c runs.Cell, identifyWallNS int64) {
+// benchJSON runs 'scfruns bench' over one capture whose header names cpu and
+// whose result names carry suffix (e.g. "-8", or "" for GOMAXPROCS 1), and
+// returns the JSON file it wrote.
+func benchJSON(t *testing.T, cpu, suffix string, ns int) string {
 	t.Helper()
-	arch := &runs.Archive{
-		Summary: runs.Summary{
-			Tool: "test",
-			Meta: map[string]string{"chaos": c.Chaos, "cell": c.ID()},
-		},
-		Timings: runs.Timings{
-			ElapsedNS: identifyWallNS * 2,
-			Stages:    []obs.StageTiming{{Path: "identify", WallNS: identifyWallNS, CPUNS: identifyWallNS}},
-			Resources: []obs.ResourceStats{{Stage: "identify", Samples: 2, MaxHeapInuseBytes: 1 << 20, MaxGoroutines: 4}},
-		},
-	}
-	if err := runs.WriteDir(filepath.Join(root, runs.MatrixDir, c.ID()), arch); err != nil {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "bench.txt")
+	text := fmt.Sprintf("goos: linux\ngoarch: amd64\ncpu: %s\nBenchmarkX%s 100 %d ns/op 10 allocs/op\n", cpu, suffix, ns)
+	if err := os.WriteFile(in, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	out := filepath.Join(dir, "bench.json")
+	if got := run([]string{"bench", "-i", in, "-o", out}); got != 0 {
+		t.Fatalf("bench exit %d", got)
+	}
+	return out
 }
 
-func TestRunGateMatrixExitCodes(t *testing.T) {
-	baseRoot, candRoot := t.TempDir(), t.TempDir()
-	cell := runs.Cell{Scale: 0.01, Workers: 1, Chaos: "none"}
-	matrixCell(t, baseRoot, cell, 1e9)
-	matrixCell(t, candRoot, cell, 1e9)
-	if got := run([]string{"gate", "-quiet", "-matrix-base", baseRoot, "-matrix-new", candRoot}); got != 0 {
-		t.Fatalf("flat matrix must gate clean, exit %d", got)
+func TestRunGateBenchStampExitCodes(t *testing.T) {
+	base := benchJSON(t, "CPU A", "-8", 1000)
+	same := benchJSON(t, "CPU A", "-8", 1000)
+	slower := benchJSON(t, "CPU A", "-8", 3000)
+	otherCPU := benchJSON(t, "CPU B", "-8", 1000)
+	otherProcs := benchJSON(t, "CPU A", "-2", 1000)
+	// A capture recorded before stamps carried GOMAXPROCS and the Go version.
+	unstamped := filepath.Join(t.TempDir(), "old.json")
+	old := &runs.BenchSet{
+		Stamp:   runs.Stamp{Goos: "linux", Goarch: "amd64", CPU: "CPU A"},
+		Results: []runs.BenchResult{{Name: "BenchmarkX-8", Base: "BenchmarkX", Iterations: 100, NsPerOp: 1000, AllocsPerOp: 10}},
 	}
-	// Regress the candidate cell 4x: the per-cell gate must fail (exit 1).
-	matrixCell(t, candRoot, cell, 4e9)
-	if got := run([]string{"gate", "-quiet", "-matrix-base", baseRoot, "-matrix-new", candRoot}); got != 1 {
-		t.Fatalf("regressed matrix cell must exit 1, got %d", got)
-	}
-}
-
-func TestRunReportDeterministic(t *testing.T) {
-	root := t.TempDir()
-	matrixCell(t, root, runs.Cell{Scale: 0.01, Workers: 1, Chaos: "none"}, 1e9)
-	matrixCell(t, root, runs.Cell{Scale: 0.01, Workers: 8, Chaos: "heavy"}, 2e9)
-	out1 := filepath.Join(t.TempDir(), "r1.md")
-	out2 := filepath.Join(t.TempDir(), "r2.md")
-	if got := run([]string{"report", "-dir", root, "-o", out1}); got != 0 {
-		t.Fatalf("report exit %d", got)
-	}
-	if got := run([]string{"report", "-dir", root, "-o", out2}); got != 0 {
-		t.Fatalf("report exit %d", got)
-	}
-	a, err := os.ReadFile(out1)
+	f, err := os.Create(unstamped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(out2)
-	if err != nil {
+	if err := old.WriteJSON(f); err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != string(b) {
-		t.Fatal("report must be byte-identical across runs on identical archives")
-	}
-	if !strings.Contains(string(a), "s0.01-w8-cheavy") || !strings.Contains(string(a), "## Resource high-water marks") {
-		t.Fatalf("report missing expected sections:\n%s", a)
+	f.Close()
+
+	for _, tc := range []struct {
+		name      string
+		base, new string
+		want      int
+		out       string
+	}{
+		{"equal stamps, no drift", base, same, 0, "GATE PASSED"},
+		{"equal stamps, ns/op regression", base, slower, 1, "BenchmarkX regressed"},
+		{"cpu mismatch", base, otherCPU, 1, `not comparable: cpu "CPU A" vs "CPU B"`},
+		{"gomaxprocs mismatch", base, otherProcs, 1, `not comparable: gomaxprocs "8" vs "2"`},
+		{"missing stamp", unstamped, base, 1, `not comparable: gomaxprocs "" vs "8"`},
+	} {
+		var got int
+		out := captureStdout(t, func() {
+			got = run([]string{"gate", "-bench-base", tc.base, "-bench-new", tc.new})
+		})
+		if got != tc.want || !strings.Contains(out, tc.out) {
+			t.Errorf("%s: exit %d (want %d), output:\n%s\nwant it to contain %q", tc.name, got, tc.want, out, tc.out)
+		}
+		if tc.want == 1 && strings.Contains(tc.out, "not comparable") &&
+			(strings.Contains(out, "ns/op") || !strings.Contains(out, "GATE FAILED: 1 violation(s)")) {
+			t.Errorf("%s: a refused comparison must print one violation and no deltas:\n%s", tc.name, out)
+		}
 	}
 }
 
@@ -226,7 +236,7 @@ func TestRunTimelineRenderDeterministic(t *testing.T) {
 	}
 
 	// list surfaces the anomaly count; archives without a timeline show "-".
-	matrixCell(t, root, runs.Cell{Scale: 0.01, Workers: 1, Chaos: "none"}, 1e9)
+	timelineArchive(t, root, "r-no-timeline", nil)
 	listOut := captureStdout(t, func() {
 		if got := run([]string{"list", "-dir", root}); got != 0 {
 			t.Fatalf("list exit %d", got)

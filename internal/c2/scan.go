@@ -2,7 +2,6 @@ package c2
 
 import (
 	"context"
-	"crypto/tls"
 	"io"
 	"net"
 	"strconv"
@@ -22,9 +21,6 @@ type Scanner struct {
 	// Dial opens the transport connection. Tests and the simulation point
 	// this at the in-process gateway; the default is net.Dialer.
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
-	// TLSPort443 wraps port-443 connections in TLS, as a real scan would.
-	// The simulation serves plain TCP on both ports, so it stays off there.
-	TLSPort443 bool
 	// MaxResponse bounds how many response bytes are read per probe.
 	MaxResponse int
 
@@ -108,13 +104,6 @@ func (s *Scanner) probeOne(ctx context.Context, host string, port int, fp *Finge
 		return false, buf
 	}
 	defer conn.Close()
-	if s.TLSPort443 && port == 443 {
-		tc := tls.Client(conn, &tls.Config{ServerName: host, InsecureSkipVerify: true})
-		if err := tc.HandshakeContext(cctx); err != nil {
-			return false, buf
-		}
-		conn = tc
-	}
 	deadline := time.Now().Add(s.Timeout)
 	conn.SetDeadline(deadline)
 	if _, err := conn.Write(probe); err != nil {

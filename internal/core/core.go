@@ -400,9 +400,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	})
 	observer.Start()
 	capturer := prof.NewCapturer(cfg.Profile)
-	if perr := capturer.Start(); perr != nil {
-		elog.Emit(obs.EventNote, "profile-error", obs.Attr{Key: "detail", Value: perr.Error()})
-	}
+	capturer.Start() // a failure surfaces through capturer.Err after Stop
 	p := &pipeline{cfg: cfg, res: res, reg: reg, injector: injector, mgr: mgr, resumed: resumed}
 	defer func() {
 		if p.edge != nil {
@@ -411,6 +409,9 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 		rep := observer.Stop()
 		res.Timeline, res.Resources, res.Health = rep.Windows, rep.Resources, rep.Health
 		res.Profiles = capturer.Stop()
+		if perr := capturer.Err(); perr != nil {
+			elog.Emit(obs.EventNote, "profile-error", obs.Attr{Key: "detail", Value: perr.Error()})
+		}
 		res.Stages = tr.Records()
 		if mgr != nil {
 			li := mgr.Info()

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,4 +75,51 @@ func runOnce(t *testing.T, workers int, profile bool) *Results {
 		t.Fatalf("workers=%d profile=%v: %v", workers, profile, err)
 	}
 	return res
+}
+
+// TestProfileErrorIsOneNote: a capture failure degrades to exactly one
+// profile-error note, emitted after the capturer stops, and the boundary
+// snapshots survive it. Holding the process's CPU profile makes Start fail.
+func TestProfileErrorIsOneNote(t *testing.T) {
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Skipf("cannot hold the CPU profile: %v", err)
+	}
+	defer pprof.StopCPUProfile()
+	elog := obs.NewEventLog()
+	res, err := RunContext(obs.ContextWithEventLog(context.Background(), elog), Config{
+		Seed: 7, Scale: 0.002, Workers: 2, SkipC2Scan: true,
+		ProbeTimeout: 500 * time.Millisecond, Profile: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := elog.Events()
+	var notes []obs.Event
+	noteAt, lastStage := -1, -1
+	for i, e := range events {
+		if e.Type == obs.EventNote && e.Name == "profile-error" {
+			notes = append(notes, e)
+			noteAt = i
+		}
+		if e.Name == "disclosure" {
+			lastStage = i
+		}
+	}
+	if len(notes) != 1 {
+		t.Fatalf("want exactly one profile-error note, got %d: %+v", len(notes), notes)
+	}
+	if lastStage < 0 || noteAt < lastStage {
+		t.Fatalf("profile-error note at event %d must follow the last stage's events (at %d)", noteAt, lastStage)
+	}
+	if d := notes[0].Attrs; len(d) != 1 || !strings.Contains(d[0].Value, "cpu profile") {
+		t.Fatalf("profile-error detail: %+v", d)
+	}
+	if len(res.Profiles) == 0 {
+		t.Fatal("boundary snapshots must survive a failed CPU capture")
+	}
+	for _, s := range res.Profiles {
+		if s.Kind == "cpu" {
+			t.Fatal("a run that could not start the CPU profile archived one")
+		}
+	}
 }

@@ -222,9 +222,9 @@ func fillSummary(a *Archive) {
 	}
 }
 
-// WriteDir persists a into exactly dir, regardless of the run ID — the
-// scenario matrix uses this to key archive slots by cell ID. The summary is
-// still completed (hash, ID, fingerprints) exactly as Write does.
+// WriteDir persists a into exactly dir, regardless of the run ID; Write
+// calls it with the run-ID slot under its root. The summary is completed
+// (hash, ID, fingerprints) first.
 //
 // The write is atomic at directory granularity: everything lands in a
 // sibling temp directory first, an existing checkpoints/ subdirectory is

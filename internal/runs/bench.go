@@ -26,22 +26,61 @@ type BenchResult struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
+// Stamp says where a bench capture was taken. Two captures are comparable
+// only when their stamps are complete and equal: a delta across CPUs, core
+// counts or toolchains measures the machine, not the code.
+type Stamp struct {
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is the -N suffix go test appends to every result name (no
+	// suffix means 1); 0 when unknown or when the results disagree.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// GoVersion is runtime.Version() of the process that parsed the capture,
+	// which `make bench-json` builds with the toolchain that ran the benchmarks.
+	GoVersion string `json:"go_version,omitempty"`
+}
+
+// Mismatch returns "" when s and o are complete and equal, otherwise
+// "not comparable: <field> <s's value> vs <o's value>" for the first field
+// that differs or is missing on either side.
+func (s Stamp) Mismatch(o Stamp) string {
+	procs := func(n int) string {
+		if n <= 0 {
+			return ""
+		}
+		return strconv.Itoa(n)
+	}
+	for _, f := range []struct{ name, a, b string }{
+		{"goos", s.Goos, o.Goos},
+		{"goarch", s.Goarch, o.Goarch},
+		{"cpu", s.CPU, o.CPU},
+		{"gomaxprocs", procs(s.GOMAXPROCS), procs(o.GOMAXPROCS)},
+		{"go_version", s.GoVersion, o.GoVersion},
+	} {
+		if f.a == "" || f.b == "" || f.a != f.b {
+			return fmt.Sprintf("not comparable: %s %q vs %q", f.name, f.a, f.b)
+		}
+	}
+	return ""
+}
+
 // BenchSet is the structured form of one `go test -bench` invocation — what
 // BENCH_pipeline.json holds instead of raw benchmark text.
 type BenchSet struct {
-	Goos    string        `json:"goos,omitempty"`
-	Goarch  string        `json:"goarch,omitempty"`
-	CPU     string        `json:"cpu,omitempty"`
+	Stamp
 	Results []BenchResult `json:"results"`
 }
 
 // ParseBench reads `go test -bench` text output (benchstat's input format)
 // into a BenchSet. Non-benchmark lines (PASS, ok, test log noise) are
 // skipped; a stream with no benchmark lines at all is an error, catching
-// the easy mistake of feeding it a failed test run.
+// the easy mistake of feeding it a failed test run. The stamp's goos, goarch,
+// cpu and GOMAXPROCS come from the text; GoVersion is left to the caller.
 func ParseBench(r io.Reader) (*BenchSet, error) {
 	set := &BenchSet{}
 	pkg := ""
+	procs := -1
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -66,6 +105,12 @@ func ParseBench(r io.Reader) (*BenchSet, error) {
 		}
 		res.Pkg = pkg
 		set.Results = append(set.Results, res)
+		switch _, n := splitProcs(res.Name); {
+		case procs == -1:
+			procs = n
+		case procs != n:
+			procs = 0
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("runs: bench parse: %w", err)
@@ -73,6 +118,7 @@ func ParseBench(r io.Reader) (*BenchSet, error) {
 	if len(set.Results) == 0 {
 		return nil, fmt.Errorf("runs: bench parse: no benchmark result lines found")
 	}
+	set.GOMAXPROCS = procs
 	return set, nil
 }
 
@@ -90,7 +136,8 @@ func parseBenchLine(line string) (BenchResult, bool) {
 	if err != nil {
 		return BenchResult{}, false
 	}
-	res := BenchResult{Name: f[0], Base: benchBase(f[0]), Iterations: iters}
+	base, _ := splitProcs(f[0])
+	res := BenchResult{Name: f[0], Base: base, Iterations: iters}
 	sawNs := false
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
@@ -118,17 +165,19 @@ func parseBenchLine(line string) (BenchResult, bool) {
 	return res, true
 }
 
-// benchBase strips the trailing -GOMAXPROCS suffix go test appends, so
-// repeats of the same benchmark group together across machines.
-func benchBase(name string) string {
+// splitProcs splits the trailing -GOMAXPROCS suffix go test appends off a
+// result name, so repeats of the same benchmark group together. A name
+// without the suffix ran at GOMAXPROCS 1.
+func splitProcs(name string) (base string, procs int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 1
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 1
 	}
-	return name[:i]
+	return name[:i], n
 }
 
 // WriteJSON renders the set as indented JSON with a trailing newline.
@@ -151,21 +200,6 @@ func ReadBenchJSON(r io.Reader) (*BenchSet, error) {
 		return nil, fmt.Errorf("runs: bench json: %w", err)
 	}
 	return &s, nil
-}
-
-// MeanNsPerOp averages ns/op per base benchmark name over -count repeats.
-func (s *BenchSet) MeanNsPerOp() map[string]float64 {
-	sums := map[string]float64{}
-	ns := map[string]int{}
-	for _, r := range s.Results {
-		sums[r.Base] += r.NsPerOp
-		ns[r.Base]++
-	}
-	out := make(map[string]float64, len(sums))
-	for k, sum := range sums {
-		out[k] = sum / float64(ns[k])
-	}
-	return out
 }
 
 // BenchDelta compares one benchmark's mean ns/op and allocs/op across two
@@ -210,13 +244,18 @@ func DiffBench(a, b *BenchSet) []BenchDelta {
 	return out
 }
 
-// GateBench returns one violation per benchmark whose mean ns/op grew past
+// GateBench returns a single "not comparable" violation when the two
+// captures' stamps differ or either is incomplete (see Stamp.Mismatch).
+// Otherwise it returns one violation per benchmark whose mean ns/op grew past
 // (1+tol)× the baseline, or whose mean allocs/op grew past allocsTol× it
 // (allocsTol is a plain ratio ceiling, e.g. 1.10; <= 0 disables the alloc
 // check). The alloc gate only fires when both sides report allocs — a run
 // without -benchmem must not trip it. Benchmarks present on only one side
 // are reported but do not fail the gate — suites evolve.
 func GateBench(a, b *BenchSet, tol, allocsTol float64) []string {
+	if why := a.Mismatch(b.Stamp); why != "" {
+		return []string{why}
+	}
 	var v []string
 	for _, d := range DiffBench(a, b) {
 		if r := d.Ratio(); r > 1+tol {
@@ -234,11 +273,15 @@ func GateBench(a, b *BenchSet, tol, allocsTol float64) []string {
 	return v
 }
 
-// RenderBenchDiff formats a bench comparison for humans.
-func RenderBenchDiff(deltas []BenchDelta) string {
+// RenderBenchDiff formats a bench comparison for humans: the per-benchmark
+// deltas, or only the "not comparable" line when the stamps do not match.
+func RenderBenchDiff(a, c *BenchSet) string {
+	if why := a.Mismatch(c.Stamp); why != "" {
+		return why + "\n"
+	}
 	var b strings.Builder
 	b.WriteString("Benchmark diff (mean ns/op and allocs/op over repeats)\n")
-	for _, d := range deltas {
+	for _, d := range DiffBench(a, c) {
 		ratio := "-"
 		if r := d.Ratio(); r > 0 {
 			ratio = fmt.Sprintf("%.2fx", r)

@@ -1,18 +1,15 @@
 package runs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 )
 
-// HistoryFile is the repo-root perf trajectory: one JSONL record per
+// HistoryFile is the repo-root perf ledger: one JSONL record per
 // `make bench-json` capture, append-only, committed alongside
-// BENCH_pipeline.json so successive PRs accumulate a time series the
-// report's trajectory table renders.
+// BENCH_pipeline.json so successive changes accumulate a time series. Each
+// record carries its capture's Stamp; only records with equal stamps compare.
 const HistoryFile = "BENCH_history.jsonl"
 
 // BenchPoint is one benchmark's mean figures within a history entry.
@@ -22,17 +19,14 @@ type BenchPoint struct {
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 }
 
-// HistoryEntry is one perf-trajectory record: a bench capture reduced to
+// HistoryEntry is one ledger record: a bench capture reduced to
 // per-benchmark means, stamped with where and when it was taken. CapturedAt
-// and Label are provenance only — the report renders whatever the file
-// holds, so they never threaten report determinism.
+// and Label are provenance only.
 type HistoryEntry struct {
-	CapturedAt string                `json:"captured_at,omitempty"`
-	Label      string                `json:"label,omitempty"`
-	Goos       string                `json:"goos,omitempty"`
-	Goarch     string                `json:"goarch,omitempty"`
-	CPU        string                `json:"cpu,omitempty"`
-	Bench      map[string]BenchPoint `json:"bench"`
+	CapturedAt string `json:"captured_at,omitempty"`
+	Label      string `json:"label,omitempty"`
+	Stamp
+	Bench map[string]BenchPoint `json:"bench"`
 }
 
 // MeanPoints reduces the set to per-base-benchmark mean ns/op, B/op, and
@@ -56,19 +50,17 @@ func (s *BenchSet) MeanPoints() map[string]BenchPoint {
 	return out
 }
 
-// HistoryEntryFrom reduces a bench capture to one trajectory record.
+// HistoryEntryFrom reduces a bench capture to one ledger record.
 func HistoryEntryFrom(set *BenchSet, label, capturedAt string) HistoryEntry {
 	return HistoryEntry{
 		CapturedAt: capturedAt,
 		Label:      label,
-		Goos:       set.Goos,
-		Goarch:     set.Goarch,
-		CPU:        set.CPU,
+		Stamp:      set.Stamp,
 		Bench:      set.MeanPoints(),
 	}
 }
 
-// AppendHistory appends e as one JSON line to the trajectory file, creating
+// AppendHistory appends e as one JSON line to the ledger file, creating
 // it when missing. Append-only by construction: the existing series is
 // never rewritten.
 func AppendHistory(path string, e HistoryEntry) error {
@@ -87,56 +79,4 @@ func AppendHistory(path string, e HistoryEntry) error {
 		return fmt.Errorf("runs: history: %w", werr)
 	}
 	return nil
-}
-
-// ReadHistory loads the trajectory file, oldest first. A missing file is an
-// empty trajectory; a malformed line is an error (the file is append-only
-// and committed, so corruption means something went wrong).
-func ReadHistory(path string) ([]HistoryEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("runs: history: %w", err)
-	}
-	defer f.Close()
-	return readHistory(f)
-}
-
-func readHistory(r io.Reader) ([]HistoryEntry, error) {
-	var out []HistoryEntry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e HistoryEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("runs: history: line %d: %w", len(out)+1, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("runs: history: %w", err)
-	}
-	return out, nil
-}
-
-// historyBenchNames is the sorted union of benchmark names across entries.
-func historyBenchNames(entries []HistoryEntry) []string {
-	set := map[string]bool{}
-	for _, e := range entries {
-		for name := range e.Bench {
-			set[name] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
