@@ -40,10 +40,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # The layer benchmarks of the perf ledger: the parallel substrate, the
-# analysis kernels, the per-function RNG stream and the C2 scanner's per-host
-# benchmark (kernel socket and in-memory edge). bench-json and bench-smoke
-# both run this one pattern.
-BENCH_PATTERN = EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|FunctionStream|C2ScanHost
+# analysis kernels, the per-function RNG stream, the identify kernel
+# (structural Table 1 checks against the compiled patterns) and the C2
+# scanner's per-host benchmark (kernel socket and in-memory edge). bench-json
+# and bench-smoke both run this one pattern.
+BENCH_PATTERN = EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|FunctionStream|IdentifyRegion|C2ScanHost
 
 # Perf-ledger capture, in both formats: the raw `go test -bench` text lands
 # in BENCH_pipeline.txt (benchstat consumes it directly: `benchstat old.txt

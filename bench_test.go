@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -108,9 +109,10 @@ func BenchmarkTable1URLFormats(b *testing.B) {
 	}
 }
 
-// Ablation: suffix-map pre-filter vs regex-only identification over a mixed
-// corpus (90% non-function noise, like a real PDNS feed).
-func benchIdentify(b *testing.B, slow bool) {
+// BenchmarkIdentifySuffixMap measures Identify over a mixed corpus (90%
+// non-function noise, like a real PDNS feed), where most names leave at the
+// suffix dispatch without reaching a structural check.
+func BenchmarkIdentifySuffixMap(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	m := providers.NewMatcher(nil)
 	var corpus []string
@@ -125,17 +127,59 @@ func benchIdentify(b *testing.B, slow bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := corpus[i%len(corpus)]
-		if slow {
-			m.IdentifySlow(d)
-		} else {
-			m.Identify(d)
-		}
+		m.Identify(corpus[i%len(corpus)])
 	}
 }
 
-func BenchmarkIdentifySuffixMap(b *testing.B) { benchIdentify(b, false) }
-func BenchmarkIdentifyRegexOnly(b *testing.B) { benchIdentify(b, true) }
+// BenchmarkIdentifyRegion is the identify kernel of the feed path, one name
+// per op over a scale-0.01 population's function names: the resolver's
+// lookup-cache miss and the aggregator's per-symbol miss each pay it once
+// per distinct name. Sub-benchmark matcher is Matcher.IdentifyRegion (suffix
+// dispatch, structural Table 1 check, region read); table1-regexp runs the
+// compiled Table 1 Pattern behind the same suffix dispatch, without the
+// region read: the regexp identification the structural checks replaced.
+func BenchmarkIdentifyRegion(b *testing.B) {
+	fixtures(b)
+	names := make([]string, len(fixPop.Functions))
+	for i, f := range fixPop.Functions {
+		names[i] = f.FQDN
+	}
+	b.Run("matcher", func(b *testing.B) {
+		m := providers.NewMatcher(nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, ok := m.IdentifyRegion(names[i%len(names)]); !ok {
+				b.Fatalf("%q not identified", names[i%len(names)])
+			}
+		}
+	})
+	b.Run("table1-regexp", func(b *testing.B) {
+		type format struct {
+			suffix string
+			re     *regexp.Regexp
+		}
+		var formats []format
+		for _, in := range providers.Collected() {
+			formats = append(formats, format{"." + in.DomainSuffix, regexp.MustCompile(in.Pattern)})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			name := strings.ToLower(strings.TrimSuffix(names[i%len(names)], "."))
+			ok := false
+			for _, f := range formats {
+				if strings.HasSuffix(name, f.suffix) {
+					ok = f.re.MatchString(name)
+					break
+				}
+			}
+			if !ok {
+				b.Fatalf("%q not identified", name)
+			}
+		}
+	})
+}
 
 // ---- T2: resolution aggregation (Table 2) ----
 

@@ -34,13 +34,13 @@ type Answer struct {
 //
 // Concurrency audit, per field: the matcher and per-provider policies are
 // built once and read-only afterwards; the deletion set is guarded by mu;
-// the lookup and harmonic-number memos are sync.Maps (duplicate computation
-// on a racing first miss is benign — entries are value-identical); the
-// telemetry counters are atomics. Methods take no locks while calling out,
-// so Resolve/ResolveRType/MarkDeleted may interleave freely from any number
-// of goroutines.
+// the lookup, per-provider series and harmonic-number memos are sync.Maps
+// (duplicate computation on a racing first miss is benign — entries are
+// value-identical); the telemetry counters are atomics. Methods take no
+// locks while calling out, so Resolve/ResolveRType/MarkDeleted may
+// interleave freely from any number of goroutines.
 //
-// Lookups (regex identification + policy selection) are memoised per FQDN:
+// Lookups (Table 1 identification + policy selection) are memoised per FQDN:
 // a two-year feed re-resolves each name hundreds of times, so the cache
 // turns the per-query matcher work into a map hit. Deletion state is checked
 // on every query, never cached.
@@ -56,11 +56,13 @@ type Resolver struct {
 	mHits   *obs.Counter // dnssim_lookup_cache_hits_total
 	mMisses *obs.Counter // dnssim_lookup_cache_misses_total
 
-	// Dimensional telemetry. The per-provider series are resolved once per
-	// FQDN when its lookup is built and cached on the cachedLookup, so the
-	// per-query cost is one atomic increment, not a label-key join.
+	// Dimensional telemetry. Each provider's series are resolved once, on
+	// its first lookup, and every cachedLookup of that provider points at
+	// the shared set, so the per-query cost is one atomic increment and the
+	// per-name cost one map hit, not label-key joins.
 	mLookupVec *obs.CounterVec // dnssim_lookups_total{provider,cache}
 	mAnswerVec *obs.CounterVec // dnssim_answers_total{provider,rrtype}
+	series     sync.Map        // provider name → *providerSeries
 }
 
 // NewResolver builds a resolver over all collected providers.
@@ -135,23 +137,25 @@ type cachedLookup struct {
 	name     string // provider display name, for error text
 	wildcard bool
 	err      error // non-nil: the FQDN never resolves (bad name / no policy)
+	series   *providerSeries
+}
 
-	// Interned per-provider series, resolved once when the lookup is built;
-	// all nil (and therefore no-op) on an un-instrumented resolver.
-	hit      *obs.Counter // dnssim_lookups_total{provider,hit}
-	ansA     *obs.Counter // dnssim_answers_total{provider,A}
-	ansAAAA  *obs.Counter
-	ansCNAME *obs.Counter
+// providerSeries is one provider's dimensional series, shared by every
+// cachedLookup of that provider. Its counters are all nil (and therefore
+// no-ops) on an un-instrumented resolver.
+type providerSeries struct {
+	miss, hit               *obs.Counter // dnssim_lookups_total{provider,cache}
+	ansA, ansAAAA, ansCNAME *obs.Counter // dnssim_answers_total{provider,rrtype}
 }
 
 func (cl *cachedLookup) countAnswer(t pdns.RType) {
 	switch t {
 	case pdns.TypeA:
-		cl.ansA.Inc()
+		cl.series.ansA.Inc()
 	case pdns.TypeAAAA:
-		cl.ansAAAA.Inc()
+		cl.series.ansAAAA.Inc()
 	case pdns.TypeCNAME:
-		cl.ansCNAME.Inc()
+		cl.series.ansCNAME.Inc()
 	}
 }
 
@@ -159,7 +163,7 @@ func (r *Resolver) lookup(fqdn string) (*cachedLookup, *Policy, string, error) {
 	if v, ok := r.lookups.Load(fqdn); ok {
 		cl := v.(*cachedLookup)
 		r.mHits.Inc()
-		cl.hit.Inc()
+		cl.series.hit.Inc()
 		return r.finish(fqdn, cl)
 	}
 	r.mMisses.Inc()
@@ -197,13 +201,26 @@ func (r *Resolver) buildLookup(fqdn string) *cachedLookup {
 	return cl
 }
 
-// intern resolves the lookup's dimensional series and counts its cache miss.
+// intern points the lookup at its provider's series and counts its cache
+// miss.
 func (r *Resolver) intern(cl *cachedLookup, provider string) {
-	r.mLookupVec.With(provider, "miss").Inc()
-	cl.hit = r.mLookupVec.With(provider, "hit")
-	cl.ansA = r.mAnswerVec.With(provider, "A")
-	cl.ansAAAA = r.mAnswerVec.With(provider, "AAAA")
-	cl.ansCNAME = r.mAnswerVec.With(provider, "CNAME")
+	cl.series = r.seriesFor(provider)
+	cl.series.miss.Inc()
+}
+
+// seriesFor returns provider's series, resolving them on first use.
+func (r *Resolver) seriesFor(provider string) *providerSeries {
+	if v, ok := r.series.Load(provider); ok {
+		return v.(*providerSeries)
+	}
+	v, _ := r.series.LoadOrStore(provider, &providerSeries{
+		miss:     r.mLookupVec.With(provider, "miss"),
+		hit:      r.mLookupVec.With(provider, "hit"),
+		ansA:     r.mAnswerVec.With(provider, "A"),
+		ansAAAA:  r.mAnswerVec.With(provider, "AAAA"),
+		ansCNAME: r.mAnswerVec.With(provider, "CNAME"),
+	})
+	return v.(*providerSeries)
 }
 
 // answerKey identifies one memoised synthetic answer: the rdata is a pure

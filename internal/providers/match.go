@@ -8,14 +8,17 @@ import (
 //
 // The zero value is not usable; construct with NewMatcher. Matching is a
 // two-stage process: a suffix dispatch narrows a candidate FQDN to at most
-// one provider in O(labels), then that provider's anchored regular expression
-// confirms the full structure. The pre-filter is what makes scanning a
-// PDNS feed of hundreds of billions of rows tractable (ablation:
-// BenchmarkIdentifySuffixMap vs BenchmarkIdentifyRegexOnly).
+// one provider in O(labels), then that provider's structural check (one
+// switch case per format, deciding exactly what its anchored Table 1
+// regular expression decides; DESIGN #37) confirms the full shape with a few
+// byte scans. Most names of a PDNS feed miss the suffix map at
+// every depth and never reach a check. No regexp engine runs: the patterns
+// are the definition and the tests' oracle (ablation:
+// BenchmarkIdentifyRegion/matcher vs /table1-regexp, the regexp behind the
+// same suffix dispatch).
 type Matcher struct {
 	bySuffix map[string]*Info
 	maxDepth int // deepest suffix, counted in labels
-	infos    []*Info
 }
 
 // NewMatcher builds a Matcher over the given formats. Passing nil selects
@@ -24,7 +27,7 @@ func NewMatcher(formats []*Info) *Matcher {
 	if formats == nil {
 		formats = Collected()
 	}
-	m := &Matcher{bySuffix: make(map[string]*Info, len(formats)), infos: formats}
+	m := &Matcher{bySuffix: make(map[string]*Info, len(formats))}
 	for _, in := range formats {
 		m.bySuffix[in.DomainSuffix] = in
 		if d := strings.Count(in.DomainSuffix, ".") + 1; d > m.maxDepth {
@@ -42,7 +45,7 @@ func (m *Matcher) Identify(fqdn string) (*Info, bool) {
 }
 
 // IdentifyRegion is Identify plus the FQDN's region, exactly
-// Parse(fqdn).Region, from the one regex match: the region is read off the
+// Parse(fqdn).Region, from the one match: the region is read off the
 // matched string without matching it again.
 func (m *Matcher) IdentifyRegion(fqdn string) (in *Info, region string, ok bool) {
 	fqdn = normalizeFQDN(fqdn)
@@ -57,7 +60,7 @@ func (m *Matcher) IdentifyRegion(fqdn string) (in *Info, region string, ok bool)
 func (m *Matcher) match(fqdn string) *Info {
 	// Walk candidate suffixes from shallow to deep: "on.aws" (2 labels) up
 	// to "functions.appdomain.cloud" etc. Most non-function domains miss
-	// the map on every depth and exit without touching a regex.
+	// the map on every depth and exit without running a check.
 	idx := len(fqdn)
 	for depth := 0; depth < m.maxDepth && idx > 0; depth++ {
 		dot := strings.LastIndexByte(fqdn[:idx], '.')
@@ -66,7 +69,7 @@ func (m *Matcher) match(fqdn string) *Info {
 		}
 		idx = dot
 		if in, ok := m.bySuffix[fqdn[idx+1:]]; ok {
-			if in.re.MatchString(fqdn) {
+			if in.matches(fqdn) {
 				return in
 			}
 			return nil // right suffix, wrong structure
@@ -74,21 +77,6 @@ func (m *Matcher) match(fqdn string) *Info {
 	}
 	return nil
 }
-
-// IdentifySlow matches fqdn by trying each provider regex in turn, without
-// the suffix pre-filter. It exists as the ablation baseline.
-func (m *Matcher) IdentifySlow(fqdn string) (*Info, bool) {
-	fqdn = normalizeFQDN(fqdn)
-	for _, in := range m.infos {
-		if in.re.MatchString(fqdn) {
-			return in, true
-		}
-	}
-	return nil, false
-}
-
-// Formats returns the formats this matcher was built over.
-func (m *Matcher) Formats() []*Info { return m.infos }
 
 // normalizeFQDN is strings.ToLower(strings.TrimSuffix(fqdn, ".")), the
 // normalisation Parse and Region apply, without ToLower's call on the

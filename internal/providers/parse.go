@@ -18,8 +18,8 @@ type Parsed struct {
 // Parse decomposes a function FQDN previously matched by this provider's
 // pattern. It returns ok=false if the FQDN does not match.
 func (in *Info) Parse(fqdn string) (Parsed, bool) {
-	fqdn = strings.ToLower(strings.TrimSuffix(fqdn, "."))
-	if !in.re.MatchString(fqdn) {
+	fqdn = normalizeFQDN(fqdn)
+	if !in.matches(fqdn) {
 		return Parsed{}, false
 	}
 	p := Parsed{Provider: in.ID}

@@ -13,7 +13,6 @@ package providers
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 )
 
@@ -89,7 +88,10 @@ type Info struct {
 	// PathTemplate is the Path column of Table 1 ("/", "[FName]", …).
 	PathTemplate string
 
-	// Pattern is the domain regular expression of Table 1 (anchored).
+	// Pattern is the domain regular expression of Table 1 (anchored). It is
+	// the definition of the format: matching implements it with one
+	// structural check per format (matches), and the tests compile it as
+	// that check's oracle (DESIGN #37).
 	Pattern string
 
 	Mode GenerationMode
@@ -111,17 +113,12 @@ type Info struct {
 
 	// Regions supported by the provider, as embedded in function domains.
 	Regions []string
-
-	re *regexp.Regexp
 }
-
-// Regexp returns the compiled domain regular expression.
-func (in *Info) Regexp() *regexp.Regexp { return in.re }
 
 // Match reports whether fqdn matches this provider's domain pattern.
 // Matching is case-insensitive on the suffix, per DNS semantics.
 func (in *Info) Match(fqdn string) bool {
-	return in.re.MatchString(strings.ToLower(strings.TrimSuffix(fqdn, ".")))
+	return in.matches(normalizeFQDN(fqdn))
 }
 
 var infos = [numProviders]Info{
@@ -257,12 +254,6 @@ var infos = [numProviders]Info{
 		InCollection: false, ActiveProbe: false, UniqueFunctionDomain: false, WildcardDNS: true,
 		Regions: azureRegions,
 	},
-}
-
-func init() {
-	for i := range infos {
-		infos[i].re = regexp.MustCompile(infos[i].Pattern)
-	}
 }
 
 // Get returns the static description of the given provider.

@@ -4,6 +4,123 @@ import (
 	"strings"
 )
 
+// matches reports whether the normalised fqdn matches in's anchored Table 1
+// Pattern, deciding exactly what that regular expression decides without
+// running it (DESIGN #37; FuzzIdentifyMatchesTable1 holds the two equal):
+//   - A `.*` span matches any bytes except '\n': Go's `.` excludes only the
+//     newline, and reads an invalid UTF-8 byte as U+FFFD, which it matches.
+//     Every byte of a name lies in a span or a non-newline literal, so one
+//     newline anywhere rules the name out.
+//   - The classes [a-z], [a-z0-9], [0-9] and every literal are ASCII, and an
+//     ASCII byte is always a whole rune to Go's UTF-8 decoder, so byte-wise
+//     tests equal the regexp's rune-wise ones.
+//   - A `.*` between fixed parts only asks whether some split exists, so
+//     each case looks for its anchor once instead of backtracking.
+func (in *Info) matches(fqdn string) bool {
+	if strings.IndexByte(fqdn, '\n') >= 0 {
+		return false
+	}
+	switch in.ID {
+	case Aliyun:
+		// ^(.*)-(.*)-[a-z]{10}\.(.*)\.fcapp\.run$: some '.' has ten letters
+		// and a '-' before it, and another '-' lies further left.
+		h, ok := strings.CutSuffix(fqdn, ".fcapp.run")
+		first := strings.IndexByte(h, '-')
+		if !ok || first < 0 {
+			return false
+		}
+		for dot := first + 12; dot < len(h); dot++ {
+			if h[dot] == '.' && h[dot-11] == '-' && isLower(h[dot-10:dot]) {
+				return true
+			}
+		}
+		return false
+	case Baidu:
+		// ^[a-z0-9]{13}\.cfc-execute\.(.*)\.baidubce\.com$
+		h, ok := strings.CutSuffix(fqdn, ".baidubce.com")
+		return ok && len(h) >= 26 && isLowerAlnum(h[:13]) && h[13:26] == ".cfc-execute."
+	case Tencent:
+		// ^[0-9]{10}-[a-z0-9]{10}-(.*)\.scf\.tencentcs\.com$
+		h, ok := strings.CutSuffix(fqdn, ".scf.tencentcs.com")
+		return ok && len(h) >= 22 && isDigits(h[:10]) && h[10] == '-' &&
+			isLowerAlnum(h[11:21]) && h[21] == '-'
+	case Kingsoft:
+		// ^(.*)-(eu-east-1|cn-beijing-6)\.ksyuncf\.com$
+		h, ok := strings.CutSuffix(fqdn, ".ksyuncf.com")
+		return ok && (strings.HasSuffix(h, "-eu-east-1") || strings.HasSuffix(h, "-cn-beijing-6"))
+	case AWS:
+		// ^(.*)\.lambda-url\.(.*)\.on\.aws$
+		h, ok := strings.CutSuffix(fqdn, ".on.aws")
+		return ok && strings.Contains(h, ".lambda-url.")
+	case Google:
+		// ^(asia|europe|us|australia|northamerica|southamerica)-(.*)-(.*)\.cloudfunctions\.net$:
+		// no member has a '-', so a member prefix ends at the first '-'.
+		h, ok := strings.CutSuffix(fqdn, ".cloudfunctions.net")
+		i := strings.IndexByte(h, '-')
+		if !ok || i < 0 {
+			return false
+		}
+		switch h[:i] {
+		case "asia", "europe", "us", "australia", "northamerica", "southamerica":
+			return strings.IndexByte(h[i+1:], '-') >= 0
+		}
+		return false
+	case Google2:
+		// ^(.*)-[a-z0-9]{10}-(.*)\.a\.run\.app$: some '-' is followed by ten
+		// [a-z0-9] bytes and another '-'.
+		h, ok := strings.CutSuffix(fqdn, ".a.run.app")
+		if !ok {
+			return false
+		}
+		for i := 0; i+11 < len(h); i++ {
+			if h[i] == '-' && h[i+11] == '-' && isLowerAlnum(h[i+1:i+11]) {
+				return true
+			}
+		}
+		return false
+	case IBM:
+		// ^(us-south|us-east|eu-gb|eu-de|jp-tok|au-syd)\.functions\.appdomain\.cloud$
+		h, ok := strings.CutSuffix(fqdn, ".functions.appdomain.cloud")
+		if !ok {
+			return false
+		}
+		switch h {
+		case "us-south", "us-east", "eu-gb", "eu-de", "jp-tok", "au-syd":
+			return true
+		}
+		return false
+	case Oracle:
+		// ^[a-z0-9]{11}\.(.*)\.functions\.oci\.oraclecloud\.com$
+		h, ok := strings.CutSuffix(fqdn, ".functions.oci.oraclecloud.com")
+		return ok && len(h) >= 12 && isLowerAlnum(h[:11]) && h[11] == '.'
+	case Azure:
+		// ^(.*)\.azurewebsites\.net$
+		return strings.HasSuffix(fqdn, ".azurewebsites.net")
+	default:
+		return false
+	}
+}
+
+// isLower reports whether every byte of s is in [a-z].
+func isLower(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 'a' || c > 'z' {
+			return false
+		}
+	}
+	return true
+}
+
+// isDigits reports whether every byte of s is in [0-9].
+func isDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
+}
+
 // regionOf returns the region component of a normalised function FQDN that
 // in's pattern has already matched, or "" when the format does not embed
 // one: exactly Parse(fqdn).Region, pinned by TestRegionMatchesParse.
