@@ -10,12 +10,12 @@ import (
 // two-stage process: a suffix dispatch narrows a candidate FQDN to at most
 // one provider in O(labels), then that provider's structural check (one
 // switch case per format, deciding exactly what its anchored Table 1
-// regular expression decides; DESIGN #37) confirms the full shape with a few
-// byte scans. Most names of a PDNS feed miss the suffix map at
-// every depth and never reach a check. No regexp engine runs: the patterns
-// are the definition and the tests' oracle (ablation:
-// BenchmarkIdentifyRegion/matcher vs /table1-regexp, the regexp behind the
-// same suffix dispatch).
+// regular expression decides; DESIGN #37) confirms the full shape with a
+// few byte scans. Most names of a PDNS feed miss the suffix map at every
+// depth and never reach a check. No regexp engine runs: the patterns are
+// the definition and the tests' oracle (ablation:
+// BenchmarkIdentifyRegion/matcher vs /table1-regexp, the regexps behind
+// the same suffix dispatch).
 type Matcher struct {
 	bySuffix map[string]*Info
 	maxDepth int // deepest suffix, counted in labels
@@ -79,7 +79,7 @@ func (m *Matcher) match(fqdn string) *Info {
 }
 
 // normalizeFQDN is strings.ToLower(strings.TrimSuffix(fqdn, ".")), the
-// normalisation Parse and Region apply, without ToLower's call on the
+// normalisation Match and Parse apply, without ToLower's call on the
 // common already-lowercase ASCII name.
 func normalizeFQDN(fqdn string) string {
 	fqdn = strings.TrimSuffix(fqdn, ".")
