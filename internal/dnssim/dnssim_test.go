@@ -285,10 +285,11 @@ func TestOwnerString(t *testing.T) {
 
 func TestHarmonicPickSkew(t *testing.T) {
 	pol, _ := PolicyFor(providers.Oracle)
+	tab := newNodeTable(pol, pdns.TypeA, "us-ashburn-1", 11)
 	rng := rand.New(rand.NewSource(13))
 	counts := make([]int, 11)
 	for i := 0; i < 50000; i++ {
-		counts[pol.pickNode(11, rng)]++
+		counts[tab.pick(rng)]++
 	}
 	if counts[0] <= counts[10] {
 		t.Errorf("harmonic pick not skewed: first=%d last=%d", counts[0], counts[10])

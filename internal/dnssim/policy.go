@@ -13,7 +13,6 @@ package dnssim
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/pdns"
 	"repro/internal/providers"
@@ -71,11 +70,6 @@ type Policy struct {
 	RegionAAAA      func(region string) int
 	RegionCNAME     int     // CNAME aliases per region (0 = provider never CNAMEs)
 	ThirdPartyOwner []Owner // non-empty if ingress is outsourced
-
-	// Memoised synthetic answers, keyed by (rtype, region, node index);
-	// lazily built under ansMu (see answer in resolver.go).
-	ansMu    sync.RWMutex
-	ansCache map[answerKey]Answer
 }
 
 // policies is keyed by provider, calibrated to Table 2.

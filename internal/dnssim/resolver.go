@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/pdns"
@@ -34,15 +35,18 @@ type Answer struct {
 //
 // Concurrency audit, per field: the matcher and per-provider policies are
 // built once and read-only afterwards; the deletion set is guarded by mu;
-// the lookup, per-provider series and harmonic-number memos are sync.Maps
+// the lookup, node-table and per-provider series memos are sync.Maps
 // (duplicate computation on a racing first miss is benign — entries are
-// value-identical); the telemetry counters are atomics. Methods take no
-// locks while calling out, so Resolve/ResolveRType/MarkDeleted may
-// interleave freely from any number of goroutines.
+// value-identical); a node table's answer slots are atomic pointers, and a
+// racing first fill of one slot stores a value-identical answer, so either
+// store may win; the telemetry counters are atomics. Methods take no locks
+// while calling out, so sessions, Resolve and MarkDeleted may interleave
+// freely from any number of goroutines.
 //
 // Lookups (Table 1 identification + policy selection) are memoised per FQDN:
 // a two-year feed re-resolves each name hundreds of times, so the cache
-// turns the per-query matcher work into a map hit. Deletion state is checked
+// turns the per-query matcher work into a map hit, and a Session pays even
+// that once per function, then reads node tables. Deletion state is checked
 // on every query, never cached.
 type Resolver struct {
 	matcher *providers.Matcher
@@ -51,6 +55,7 @@ type Resolver struct {
 	deleted map[string]struct{}
 
 	lookups sync.Map // fqdn → *cachedLookup
+	tables  sync.Map // regionKey → *regionTables
 
 	// Cache telemetry; populated by Instrument, no-ops otherwise.
 	mHits   *obs.Counter // dnssim_lookup_cache_hits_total
@@ -58,8 +63,8 @@ type Resolver struct {
 
 	// Dimensional telemetry. Each provider's series are resolved once, on
 	// its first lookup, and every cachedLookup of that provider points at
-	// the shared set, so the per-query cost is one atomic increment and the
-	// per-name cost one map hit, not label-key joins.
+	// the shared set, so the per-name cost is one map hit, not label-key
+	// joins.
 	mLookupVec *obs.CounterVec // dnssim_lookups_total{provider,cache}
 	mAnswerVec *obs.CounterVec // dnssim_answers_total{provider,rrtype}
 	series     sync.Map        // provider name → *providerSeries
@@ -93,31 +98,89 @@ func (r *Resolver) Deleted(fqdn string) bool {
 // Resolve answers one query for fqdn, drawing the record type and ingress
 // node from the provider's policy using rng.
 func (r *Resolver) Resolve(fqdn string, rng *rand.Rand) (Answer, error) {
-	cl, pol, region, err := r.lookup(fqdn)
+	s := r.Session(fqdn)
+	defer s.Close()
+	cl, err := s.lookup()
 	if err != nil {
 		return Answer{}, err
 	}
-	t := pol.SampleRType(rng)
-	a, err := pol.answer(t, region, rng)
-	if err == nil {
-		cl.countAnswer(t)
-	}
-	return a, err
+	return s.answer(cl, cl.pol.SampleRType(rng), rng)
+}
+
+// Session is a run of queries for one name from one goroutine: the
+// workload generator opens one per function. Its first query is an
+// ordinary lookup — a cache miss or hit, counted as such — and every later
+// query reuses that lookup, so a query costs the deletion check, the node
+// draw and a table read. The session's later lookup hits and its answers
+// are counted on Close, not per query: a live reading of the dnssim
+// counters may lag by up to one open session per goroutine, and the final
+// values equal a per-query count. A Session must not be copied once used.
+type Session struct {
+	r       *Resolver
+	fqdn    string
+	cl      *cachedLookup // nil until the first query
+	hits    int64         // queries after the first: each a lookup hit
+	answers [3]int64      // answered queries per slot of regionTables
+}
+
+// Session opens a query session for fqdn. Close it to publish its counts.
+func (r *Resolver) Session(fqdn string) Session {
+	return Session{r: r, fqdn: fqdn}
 }
 
 // ResolveRType answers one query forcing the record type, for callers that
 // allocate request volume across types themselves (the workload generator
 // enforces the Table 2 type mix this way).
-func (r *Resolver) ResolveRType(fqdn string, t pdns.RType, rng *rand.Rand) (Answer, error) {
-	cl, pol, region, err := r.lookup(fqdn)
+func (s *Session) ResolveRType(t pdns.RType, rng *rand.Rand) (Answer, error) {
+	cl, err := s.lookup()
 	if err != nil {
 		return Answer{}, err
 	}
-	a, err := pol.answer(t, region, rng)
-	if err == nil {
-		cl.countAnswer(t)
+	return s.answer(cl, t, rng)
+}
+
+// Close adds the session's lookup hits and answers to the resolver's
+// counters. The session may be reused afterwards; closing it again adds
+// nothing.
+func (s *Session) Close() {
+	cl := s.cl
+	if cl == nil {
+		return
 	}
-	return a, err
+	if s.hits > 0 {
+		s.r.mHits.Add(s.hits)
+		cl.series.hit.Add(s.hits)
+	}
+	for i, n := range s.answers {
+		if n > 0 {
+			cl.series.ans[i].Add(n)
+		}
+	}
+	*s = Session{r: s.r, fqdn: s.fqdn}
+}
+
+// lookup returns the session's cached lookup and the query's error: the
+// name's terminal identification error, or NXDOMAIN when it was deleted.
+func (s *Session) lookup() (*cachedLookup, error) {
+	if s.cl == nil {
+		s.cl = s.r.lookup(s.fqdn)
+	} else {
+		s.hits++
+	}
+	return s.cl, s.r.check(s.fqdn, s.cl)
+}
+
+// answer draws an ingress node of type t from the lookup's region and
+// returns its answer.
+func (s *Session) answer(cl *cachedLookup, t pdns.RType, rng *rand.Rand) (Answer, error) {
+	i := rtypeSlot(t)
+	if i < 0 || cl.tabs[i] == nil {
+		return Answer{}, fmt.Errorf("dnssim: %s has no %v ingress nodes in %q", cl.pol.Provider, t, cl.region)
+	}
+	tab := cl.tabs[i]
+	a := tab.answer(tab.pick(rng))
+	s.answers[i]++
+	return *a, nil
 }
 
 // Instrument points the resolver's cache telemetry at reg. Call before
@@ -130,10 +193,12 @@ func (r *Resolver) Instrument(reg *obs.Registry) {
 }
 
 // cachedLookup is the immutable, deletion-independent part of one FQDN's
-// resolution: its policy and region, or the terminal identification error.
+// resolution: its policy, region and node tables, or the terminal
+// identification error.
 type cachedLookup struct {
 	pol      *Policy
 	region   string
+	tabs     *regionTables
 	name     string // provider display name, for error text
 	wildcard bool
 	err      error // non-nil: the FQDN never resolves (bad name / no policy)
@@ -144,43 +209,35 @@ type cachedLookup struct {
 // cachedLookup of that provider. Its counters are all nil (and therefore
 // no-ops) on an un-instrumented resolver.
 type providerSeries struct {
-	miss, hit               *obs.Counter // dnssim_lookups_total{provider,cache}
-	ansA, ansAAAA, ansCNAME *obs.Counter // dnssim_answers_total{provider,rrtype}
+	miss, hit *obs.Counter    // dnssim_lookups_total{provider,cache}
+	ans       [3]*obs.Counter // dnssim_answers_total{provider,rrtype}, by rtypeSlot
 }
 
-func (cl *cachedLookup) countAnswer(t pdns.RType) {
-	switch t {
-	case pdns.TypeA:
-		cl.series.ansA.Inc()
-	case pdns.TypeAAAA:
-		cl.series.ansAAAA.Inc()
-	case pdns.TypeCNAME:
-		cl.series.ansCNAME.Inc()
-	}
-}
-
-func (r *Resolver) lookup(fqdn string) (*cachedLookup, *Policy, string, error) {
+// lookup returns fqdn's cached lookup, building it on a miss, and counts
+// the hit or miss.
+func (r *Resolver) lookup(fqdn string) *cachedLookup {
 	if v, ok := r.lookups.Load(fqdn); ok {
 		cl := v.(*cachedLookup)
 		r.mHits.Inc()
 		cl.series.hit.Inc()
-		return r.finish(fqdn, cl)
+		return cl
 	}
 	r.mMisses.Inc()
 	cl := r.buildLookup(fqdn)
 	r.lookups.Store(fqdn, cl)
-	return r.finish(fqdn, cl)
+	return cl
 }
 
-// finish applies the per-query deletion check on top of a cached lookup.
-func (r *Resolver) finish(fqdn string, cl *cachedLookup) (*cachedLookup, *Policy, string, error) {
+// check is the per-query part of a resolution on top of a cached lookup:
+// the terminal error, or the deletion check.
+func (r *Resolver) check(fqdn string, cl *cachedLookup) error {
 	if cl.err != nil {
-		return cl, nil, "", cl.err
+		return cl.err
 	}
 	if !cl.wildcard && r.Deleted(fqdn) {
-		return cl, nil, "", fmt.Errorf("dnssim: %q deleted and %s has no wildcard: %w", fqdn, cl.name, ErrNXDomain)
+		return fmt.Errorf("dnssim: %q deleted and %s has no wildcard: %w", fqdn, cl.name, ErrNXDomain)
 	}
-	return cl, cl.pol, cl.region, nil
+	return nil
 }
 
 func (r *Resolver) buildLookup(fqdn string) *cachedLookup {
@@ -196,7 +253,7 @@ func (r *Resolver) buildLookup(fqdn string) *cachedLookup {
 		r.intern(cl, info.Name)
 		return cl
 	}
-	cl := &cachedLookup{pol: pol, region: region, name: info.Name, wildcard: info.WildcardDNS}
+	cl := &cachedLookup{pol: pol, region: region, tabs: r.tablesFor(pol, region), name: info.Name, wildcard: info.WildcardDNS}
 	r.intern(cl, info.Name)
 	return cl
 }
@@ -213,78 +270,98 @@ func (r *Resolver) seriesFor(provider string) *providerSeries {
 	if v, ok := r.series.Load(provider); ok {
 		return v.(*providerSeries)
 	}
-	v, _ := r.series.LoadOrStore(provider, &providerSeries{
-		miss:     r.mLookupVec.With(provider, "miss"),
-		hit:      r.mLookupVec.With(provider, "hit"),
-		ansA:     r.mAnswerVec.With(provider, "A"),
-		ansAAAA:  r.mAnswerVec.With(provider, "AAAA"),
-		ansCNAME: r.mAnswerVec.With(provider, "CNAME"),
-	})
+	ps := &providerSeries{
+		miss: r.mLookupVec.With(provider, "miss"),
+		hit:  r.mLookupVec.With(provider, "hit"),
+	}
+	for i, t := range slotTypes {
+		ps.ans[i] = r.mAnswerVec.With(provider, t.String())
+	}
+	v, _ := r.series.LoadOrStore(provider, ps)
 	return v.(*providerSeries)
 }
 
-// answerKey identifies one memoised synthetic answer: the rdata is a pure
-// function of (policy, rtype, region, node index).
-type answerKey struct {
-	t      pdns.RType
-	region string
-	idx    int
-}
+// slotTypes are the record types a policy answers, in regionTables order.
+var slotTypes = [3]pdns.RType{pdns.TypeA, pdns.TypeAAAA, pdns.TypeCNAME}
 
-// answer synthesises the rdata for one (rtype, region) draw. The node index
-// is always drawn from rng first — keeping the RNG consumption of every
-// per-function stream fixed — and the synthesis itself is memoised per
-// (rtype, region, idx): a two-year feed re-resolves each of a provider's
-// few hundred ingress nodes millions of times, so the Sprintf/hash work
-// collapses to a read-locked map hit after warm-up.
-func (p *Policy) answer(t pdns.RType, region string, rng *rand.Rand) (Answer, error) {
-	n := p.NodeCount(t, region)
-	if n <= 0 {
-		return Answer{}, fmt.Errorf("dnssim: %s has no %v ingress nodes in %q", p.Provider, t, region)
-	}
-	idx := p.pickNode(n, rng)
-	key := answerKey{t, region, idx}
-	p.ansMu.RLock()
-	a, ok := p.ansCache[key]
-	p.ansMu.RUnlock()
-	if ok {
-		return a, nil
-	}
-	owner := p.nodeOwner(idx)
-	if p.Anycast {
-		region = "global"
-	}
-	a = Answer{RType: t, Owner: owner, TTL: p.ttl()}
+// rtypeSlot returns t's index in slotTypes, or -1 for a type no policy
+// answers.
+func rtypeSlot(t pdns.RType) int {
 	switch t {
 	case pdns.TypeA:
-		a.RData = syntheticIPv4(p.Provider, owner, region, idx)
+		return 0
 	case pdns.TypeAAAA:
-		a.RData = syntheticIPv6(p.Provider, owner, region, idx)
+		return 1
 	case pdns.TypeCNAME:
-		a.RData = p.cname(region, idx)
+		return 2
 	}
-	p.ansMu.Lock()
-	if p.ansCache == nil {
-		p.ansCache = make(map[answerKey]Answer)
-	}
-	p.ansCache[key] = a
-	p.ansMu.Unlock()
-	return a, nil
+	return -1
 }
 
-// pickNode selects an ingress node index. AWS and the anycast providers
-// spread load nearly uniformly (Table 2: AWS Top10 ≈ 2%); everyone else
-// shows strong concentration, modelled with a harmonic rank distribution.
-func (p *Policy) pickNode(n int, rng *rand.Rand) int {
+// regionKey names one policy's ingress pools in one region; anycast pools
+// are global, so every region of an anycast policy shares one key.
+type regionKey struct {
+	pol    *Policy
+	region string
+}
+
+// regionTables holds one region's node table per slotTypes entry; nil
+// where the policy has no node of that type there.
+type regionTables [3]*nodeTable
+
+// tablesFor returns the node tables of (pol, region), building them on
+// first use.
+func (r *Resolver) tablesFor(pol *Policy, region string) *regionTables {
+	if pol.Anycast {
+		region = "global"
+	}
+	key := regionKey{pol, region}
+	if v, ok := r.tables.Load(key); ok {
+		return v.(*regionTables)
+	}
+	tabs := &regionTables{}
+	for i, t := range slotTypes {
+		if n := pol.NodeCount(t, region); n > 0 {
+			tabs[i] = newNodeTable(pol, t, region, n)
+		}
+	}
+	v, _ := r.tables.LoadOrStore(key, tabs)
+	return v.(*regionTables)
+}
+
+// nodeTable is one (policy, region, rtype) ingress pool: the total weight
+// of a harmonic draw over it and one answer slot per node, filled on first
+// use. An answer is a pure function of (policy,
+// rtype, region, node index), so a two-year feed that resolves each of a
+// provider's few hundred nodes millions of times pays the Sprintf/hash work
+// once per node and an atomic load afterwards.
+type nodeTable struct {
+	pol    *Policy
+	t      pdns.RType
+	region string  // the synthesis region: "global" for anycast pools
+	total  float64 // harmonic(len(slots))
+	slots  []atomic.Pointer[Answer]
+}
+
+func newNodeTable(pol *Policy, t pdns.RType, region string, n int) *nodeTable {
+	return &nodeTable{pol: pol, t: t, region: region, total: harmonic(n), slots: make([]atomic.Pointer[Answer], n)}
+}
+
+// pick draws an ingress node index. AWS and the anycast providers spread
+// load nearly uniformly (Table 2: AWS Top10 ≈ 2%); everyone else shows
+// strong concentration, modelled with a harmonic rank distribution. The
+// draw always comes first and reads no memo, so the RNG consumption of
+// every per-function stream is fixed.
+func (nt *nodeTable) pick(rng *rand.Rand) int {
+	n := len(nt.slots)
 	if n == 1 {
 		return 0
 	}
-	if p.Provider == providers.AWS || p.Anycast {
+	if nt.pol.Provider == providers.AWS || nt.pol.Anycast {
 		return rng.Intn(n)
 	}
 	// Harmonic weights w_i = 1/(i+1).
-	total := harmonic(n)
-	x := rng.Float64() * total
+	x := rng.Float64() * nt.total
 	for i := 0; i < n; i++ {
 		x -= 1 / float64(i+1)
 		if x <= 0 {
@@ -294,17 +371,33 @@ func (p *Policy) pickNode(n int, rng *rand.Rand) int {
 	return n - 1
 }
 
-var harmonicCache sync.Map // int -> float64
-
-func harmonic(n int) float64 {
-	if v, ok := harmonicCache.Load(n); ok {
-		return v.(float64)
+// answer returns node idx's answer, synthesising it on first use.
+func (nt *nodeTable) answer(idx int) *Answer {
+	if a := nt.slots[idx].Load(); a != nil {
+		return a
 	}
+	p := nt.pol
+	owner := p.nodeOwner(idx)
+	a := &Answer{RType: nt.t, Owner: owner, TTL: p.ttl()}
+	switch nt.t {
+	case pdns.TypeA:
+		a.RData = syntheticIPv4(p.Provider, owner, nt.region, idx)
+	case pdns.TypeAAAA:
+		a.RData = syntheticIPv6(p.Provider, owner, nt.region, idx)
+	case pdns.TypeCNAME:
+		a.RData = p.cname(nt.region, idx)
+	}
+	nt.slots[idx].Store(a)
+	return a
+}
+
+// harmonic is the n-th harmonic number, the weight sum of a harmonic draw
+// over n nodes.
+func harmonic(n int) float64 {
 	var h float64
 	for i := 1; i <= n; i++ {
 		h += 1 / float64(i)
 	}
-	harmonicCache.Store(n, h)
 	return h
 }
 

@@ -49,18 +49,18 @@ func (a *Aggregator) AddBatch(b *RecordBatch) {
 		a.bySym, a.identBySym = nil, nil
 	}
 	a.growSym(b.Syms.Len())
+	// The dispositions are counted in locals and published once per batch:
+	// a live reading of the counters lags by at most one batch per shard,
+	// and their final values equal a per-row count.
+	var matched, dropped, window, unmatched int64
 	for i := 0; i < n; i++ {
-		a.scanned++
-		a.mScanned.Inc()
 		if !b.rowValid(i) {
-			a.dropped++
-			a.mDropped.Inc()
-			a.iInvalid.Inc()
+			dropped++
 			continue
 		}
 		pd := b.PDate[i]
 		if pd < a.window.start || pd > a.window.end {
-			a.iWindow.Inc()
+			window++
 			continue
 		}
 		fsym := b.FQDN[i]
@@ -71,12 +71,10 @@ func (a *Aggregator) AddBatch(b *RecordBatch) {
 			id.info, id.region, id.ok = a.matcher.IdentifyRegion(fqdn)
 		}
 		if !id.ok {
-			a.iUnmatched.Inc()
+			unmatched++
 			continue
 		}
-		a.matched++
-		a.mMatched.Inc()
-		a.iMatched.Inc()
+		matched++
 
 		fs := a.bySym[fsym]
 		if fs == nil {
@@ -88,6 +86,16 @@ func (a *Aggregator) AddBatch(b *RecordBatch) {
 		}
 		a.fold(fs, id.info.ID, b.RType[i], a.symtab.Lookup(b.RData[i]), b.RequestCnt[i], pd)
 	}
+	a.scanned += int64(n)
+	a.matched += matched
+	a.dropped += dropped
+	a.mScanned.Add(int64(n))
+	a.mMatched.Add(matched)
+	a.mDropped.Add(dropped)
+	a.iMatched.Add(matched)
+	a.iInvalid.Add(dropped)
+	a.iWindow.Add(window)
+	a.iUnmatched.Add(unmatched)
 }
 
 // growSym extends the per-symbol caches to cover syms [0, n).

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // FuzzTSVReader checks that arbitrary input never panics the reference TSV
@@ -105,7 +107,10 @@ func sameRecord(a, b Record) bool {
 // first_seen). Mangles go through At → mutate → Set exactly as the
 // pipeline's hooks do, so the empty FQDN gets interned mid-stream into a
 // table that already issued other symbols. The batch side flushes every few
-// rows through one reused batch, like a streaming shard.
+// rows through one reused batch, like a streaming shard. Each side counts
+// into its own registry, and the two must agree on every record and ingest
+// counter as well as on the aggregate: AddBatch counts per batch what Add
+// counts per record.
 func FuzzAddBatchMatchesAdd(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0x40, 0x81, 0xc2, 0x03, 0x44})
@@ -124,6 +129,9 @@ func FuzzAddBatchMatchesAdd(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		want := NewAggregator(nil, start, end)
 		got := NewAggregator(nil, start, end)
+		wantReg, gotReg := obs.NewRegistry(), obs.NewRegistry()
+		want.InstrumentShard(wantReg, "0")
+		got.InstrumentShard(gotReg, "0")
 		batch := NewRecordBatch(4)
 		flush := func() {
 			got.AddBatch(batch)
@@ -153,6 +161,15 @@ func FuzzAddBatchMatchesAdd(f *testing.F) {
 		flush()
 		if !reflect.DeepEqual(want.Finish(), got.Finish()) {
 			t.Fatalf("AddBatch aggregate diverged from Add on input %x", in)
+		}
+		ws, gs := wantReg.Snapshot(), gotReg.Snapshot()
+		for _, name := range []string{"pdns_records_scanned_total", "pdns_records_matched_total", "pdns_records_dropped_total"} {
+			if w, g := ws.Counters[name], gs.Counters[name]; w != g {
+				t.Fatalf("%s: AddBatch counted %d, Add %d on input %x", name, g, w, in)
+			}
+		}
+		if w, g := ws.CounterVecs["pdns_ingest_total"], gs.CounterVecs["pdns_ingest_total"]; !reflect.DeepEqual(w, g) {
+			t.Fatalf("pdns_ingest_total: AddBatch counted %v, Add %v on input %x", g.Series, w.Series, in)
 		}
 	})
 }

@@ -40,8 +40,11 @@ func NewMatcher(formats []*Info) *Matcher {
 // Identify returns the provider whose pattern matches fqdn.
 // ok is false when no registered provider matches.
 func (m *Matcher) Identify(fqdn string) (*Info, bool) {
-	in := m.match(normalizeFQDN(fqdn))
-	return in, in != nil
+	fqdn = normalizeFQDN(fqdn)
+	if in := m.candidate(fqdn); in != nil && in.matches(fqdn) {
+		return in, true
+	}
+	return nil, false
 }
 
 // IdentifyRegion is Identify plus the FQDN's region, exactly
@@ -49,15 +52,18 @@ func (m *Matcher) Identify(fqdn string) (*Info, bool) {
 // matched string without matching it again.
 func (m *Matcher) IdentifyRegion(fqdn string) (in *Info, region string, ok bool) {
 	fqdn = normalizeFQDN(fqdn)
-	if in = m.match(fqdn); in == nil {
+	if in = m.candidate(fqdn); in == nil {
 		return nil, "", false
 	}
-	return in, in.regionOf(fqdn), true
+	if region, ok = in.matchRegion(fqdn); !ok {
+		return nil, "", false
+	}
+	return in, region, true
 }
 
-// match returns the provider whose pattern matches the normalised fqdn, or
-// nil.
-func (m *Matcher) match(fqdn string) *Info {
+// candidate returns the provider whose domain suffix the normalised fqdn
+// ends in, or nil; only that provider's pattern can match it.
+func (m *Matcher) candidate(fqdn string) *Info {
 	// Walk candidate suffixes from shallow to deep: "on.aws" (2 labels) up
 	// to "functions.appdomain.cloud" etc. Most non-function domains miss
 	// the map on every depth and exit without running a check.
@@ -69,10 +75,7 @@ func (m *Matcher) match(fqdn string) *Info {
 		}
 		idx = dot
 		if in, ok := m.bySuffix[fqdn[idx+1:]]; ok {
-			if in.matches(fqdn) {
-				return in
-			}
-			return nil // right suffix, wrong structure
+			return in
 		}
 	}
 	return nil

@@ -121,13 +121,3 @@ func (in *Info) Parse(fqdn string) (Parsed, bool) {
 	}
 	return p, true
 }
-
-func isLowerAlnum(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < 'a' || c > 'z') && (c < '0' || c > '9') {
-			return false
-		}
-	}
-	return len(s) > 0
-}

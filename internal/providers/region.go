@@ -72,12 +72,8 @@ func (in *Info) matches(fqdn string) bool {
 		if !ok {
 			return false
 		}
-		for i := 0; i+11 < len(h); i++ {
-			if h[i] == '-' && h[i+11] == '-' && isLowerAlnum(h[i+1:i+11]) {
-				return true
-			}
-		}
-		return false
+		_, ok = google2Region(h)
+		return ok
 	case IBM:
 		// ^(us-south|us-east|eu-gb|eu-de|jp-tok|au-syd)\.functions\.appdomain\.cloud$
 		h, ok := strings.CutSuffix(fqdn, ".functions.appdomain.cloud")
@@ -101,24 +97,78 @@ func (in *Info) matches(fqdn string) bool {
 	}
 }
 
-// isLower reports whether every byte of s is in [a-z].
-func isLower(s string) bool {
+// Byte classes of the Table 1 patterns, as bits of byteClass.
+const (
+	classLower uint8 = 1 << iota // [a-z]
+	classDigit                   // [0-9]
+)
+
+// byteClass maps every byte value to its class bits, so a class test is
+// one load and a mask instead of two range comparisons.
+var byteClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] |= classLower
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] |= classDigit
+	}
+	return t
+}()
+
+// allIn reports whether every byte of s has one of the class bits.
+func allIn(s string, class uint8) bool {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 'a' || c > 'z' {
+		if byteClass[s[i]]&class == 0 {
 			return false
 		}
 	}
 	return true
 }
 
+// isLower reports whether every byte of s is in [a-z].
+func isLower(s string) bool { return allIn(s, classLower) }
+
 // isDigits reports whether every byte of s is in [0-9].
-func isDigits(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < '0' || c > '9' {
-			return false
+func isDigits(s string) bool { return allIn(s, classDigit) }
+
+// isLowerAlnum reports whether s is non-empty and every byte is in [a-z0-9].
+func isLowerAlnum(s string) bool { return len(s) > 0 && allIn(s, classLower|classDigit) }
+
+// matchRegion is matches and regionOf from one scan where a format reads
+// its region off the match itself; the other formats run the two in turn.
+func (in *Info) matchRegion(fqdn string) (string, bool) {
+	if in.ID == Google2 {
+		h, ok := strings.CutSuffix(fqdn, ".a.run.app")
+		if !ok || strings.IndexByte(fqdn, '\n') >= 0 {
+			return "", false
 		}
+		return google2Region(h)
 	}
-	return true
+	if !in.matches(fqdn) {
+		return "", false
+	}
+	return in.regionOf(fqdn), true
+}
+
+// google2Region scans a Google2 host ([FName]-[Random]-[Region]) right to
+// left for its rightmost interior '-'-delimited token of ten [a-z0-9]
+// bytes and returns what follows it, a suffix of host. ok is false when
+// there is no such token, which is exactly when `(.*)-[a-z0-9]{10}-(.*)`
+// fails: ten class bytes between two '-' contain no '-', so they form a
+// whole token.
+func google2Region(host string) (region string, ok bool) {
+	end := strings.LastIndexByte(host, '-')
+	for end > 0 {
+		start := strings.LastIndexByte(host[:end], '-') + 1
+		if start == 0 {
+			break
+		}
+		if end-start == 10 && isLowerAlnum(host[start:end]) {
+			return host[end+1:], true
+		}
+		end = start - 1
+	}
+	return "", false
 }
 
 // regionOf returns the region component of a normalised function FQDN that
@@ -170,18 +220,8 @@ func (in *Info) regionOf(fqdn string) string {
 	case Google2:
 		// [FName]-[Random]-[Region]: everything after the rightmost
 		// interior 10-char alnum token — a suffix of host, so no Join.
-		end := strings.LastIndexByte(host, '-')
-		for end > 0 {
-			start := strings.LastIndexByte(host[:end], '-') + 1
-			if start == 0 {
-				break
-			}
-			if end-start == 10 && isLowerAlnum(host[start:end]) {
-				return host[end+1:]
-			}
-			end = start - 1
-		}
-		return ""
+		region, _ := google2Region(host)
+		return region
 	case IBM:
 		return host
 	case Oracle:

@@ -109,12 +109,16 @@ func emitFunction(pop *Population, f *Function, resolver *dnssim.Resolver, rng *
 // heavy-tail functions carry most of the volume), and each type's share is
 // split over one or more ingress-node draws. RNG consumption is part of
 // the determinism contract: the draw sequence per function is fixed, so
-// every emission mode yields byte-identical per-function streams.
+// every emission mode yields byte-identical per-function streams. The
+// function's name is resolved once, through one resolver session; each
+// record's query is then a node draw and a table read.
 func emitFunctionInto(pop *Population, f *Function, resolver *dnssim.Resolver, rng *rand.Rand, sc *emitScratch, row rowFunc) error {
 	pol, ok := dnssim.PolicyFor(f.Provider)
 	if !ok {
 		return fmt.Errorf("no DNS policy for provider %v", f.Provider)
 	}
+	sess := resolver.Session(f.FQDN)
+	defer sess.Close()
 	for i, day := range f.ActiveDays {
 		count := f.DailyInvocations[i]
 		if count <= 0 {
@@ -126,7 +130,7 @@ func emitFunctionInto(pop *Population, f *Function, resolver *dnssim.Resolver, r
 				draws = 2
 			}
 			for _, share := range sc.splitCount(rng, tc.count, draws) {
-				ans, err := resolver.ResolveRType(f.FQDN, tc.rtype, rng)
+				ans, err := sess.ResolveRType(tc.rtype, rng)
 				if err != nil {
 					return err
 				}
