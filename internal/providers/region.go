@@ -134,8 +134,9 @@ func isDigits(s string) bool { return allIn(s, classDigit) }
 // isLowerAlnum reports whether s is non-empty and every byte is in [a-z0-9].
 func isLowerAlnum(s string) bool { return len(s) > 0 && allIn(s, classLower|classDigit) }
 
-// matchRegion is matches and regionOf from one scan where a format reads
-// its region off the match itself; the other formats run the two in turn.
+// matchRegion is matches plus regionOf. Google2 reads its region off the
+// match itself, so one scan decides both; the other formats run the two in
+// turn.
 func (in *Info) matchRegion(fqdn string) (string, bool) {
 	if in.ID == Google2 {
 		h, ok := strings.CutSuffix(fqdn, ".a.run.app")
@@ -152,7 +153,7 @@ func (in *Info) matchRegion(fqdn string) (string, bool) {
 
 // google2Region scans a Google2 host ([FName]-[Random]-[Region]) right to
 // left for its rightmost interior '-'-delimited token of ten [a-z0-9]
-// bytes and returns what follows it, a suffix of host. ok is false when
+// bytes and returns what follows it, a suffix of host, so no Join. ok is false when
 // there is no such token, which is exactly when `(.*)-[a-z0-9]{10}-(.*)`
 // fails: ten class bytes between two '-' contain no '-', so they form a
 // whole token.
@@ -175,7 +176,8 @@ func google2Region(host string) (region string, ok bool) {
 // in's pattern has already matched, or "" when the format does not embed
 // one: exactly Parse(fqdn).Region, pinned by TestRegionMatchesParse.
 // It only ever returns substrings of its input, so the aggregation hot path
-// resolves regions without Parse's per-component allocations.
+// resolves regions without Parse's per-component allocations. Google2's
+// region comes from matchRegion's scan instead.
 func (in *Info) regionOf(fqdn string) string {
 	host := trimDotSuffix(fqdn, in.DomainSuffix)
 	switch in.ID {
@@ -217,11 +219,6 @@ func (in *Info) regionOf(fqdn string) string {
 			}
 		}
 		return ""
-	case Google2:
-		// [FName]-[Random]-[Region]: everything after the rightmost
-		// interior 10-char alnum token — a suffix of host, so no Join.
-		region, _ := google2Region(host)
-		return region
 	case IBM:
 		return host
 	case Oracle:
