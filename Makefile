@@ -41,10 +41,11 @@ bench:
 
 # The layer benchmarks of the perf ledger: the parallel substrate, the
 # analysis kernels, the per-function RNG stream, the identify kernel
-# (structural Table 1 checks against the compiled patterns) and the C2
-# scanner's per-host benchmark (kernel socket and in-memory edge). bench-json
+# (structural Table 1 checks against the compiled patterns), the C2
+# scanner's per-host benchmark (kernel socket and in-memory edge) and one
+# probe per target class over the in-memory edge (ProbeTarget). bench-json
 # and bench-smoke both run this one pattern.
-BENCH_PATTERN = EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|FunctionStream|IdentifyRegion|C2ScanHost
+BENCH_PATTERN = EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|FunctionStream|IdentifyRegion|C2ScanHost|ProbeTarget
 
 # Perf-ledger capture, in both formats: the raw `go test -bench` text lands
 # in BENCH_pipeline.txt (benchstat consumes it directly: `benchstat old.txt

@@ -416,9 +416,11 @@ func BenchmarkFigure6HTTPCodes(b *testing.B) {
 	platform, servers := liveEdge(b, r.Population)
 	defer servers.Close()
 	_ = platform
+	dial := dialBoth(servers)
 	p := probe.New(probe.Config{
-		Timeout:     time.Second,
-		DialContext: dialBoth(servers),
+		Timeout:        time.Second,
+		DialContext:    dial,
+		DialTLSContext: dial,
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -573,10 +575,7 @@ func BenchmarkC2ScanHost(b *testing.B) {
 		// complete and the functions never reach their concurrency limit.
 		start, calls := workload.DeployWindowClock()(), atomic.Int64{}
 		gw.Clock = func() time.Time { return start.Add(time.Duration(calls.Add(1)) * time.Second) }
-		edge, err := faas.StartEdge(gw)
-		if err != nil {
-			b.Fatal(err)
-		}
+		edge := faas.StartEdge(gw)
 		defer edge.Close()
 		s := c2.NewScanner(db)
 		s.Timeout = time.Second
@@ -763,9 +762,10 @@ func BenchmarkProberConcurrency(b *testing.B) {
 	defer servers.Close()
 	for _, conc := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("c=%d", conc), func(b *testing.B) {
+			dial := dialBoth(servers)
 			p := probe.New(probe.Config{
 				Timeout: time.Second, Concurrency: conc,
-				DialContext: dialBoth(servers),
+				DialContext: dial, DialTLSContext: dial,
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -792,12 +792,14 @@ func BenchmarkProbeChaosRetries(b *testing.B) {
 		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
 			in := fault.New(fault.Heavy().WithSeed(seed))
 			in.SetSpikeDelay(100 * time.Millisecond)
+			dial := in.WrapDial(dialBoth(servers))
 			p := probe.New(probe.Config{
 				Timeout: time.Second, Concurrency: 32,
-				Resolve:      in.WrapResolve(nil),
-				DialContext:  in.WrapDial(dialBoth(servers)),
-				Retries:      2,
-				RetryBackoff: time.Millisecond,
+				Resolve:        in.WrapResolve(nil),
+				DialContext:    dial,
+				DialTLSContext: dial,
+				Retries:        2,
+				RetryBackoff:   time.Millisecond,
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -848,17 +850,17 @@ func liveEdge(b *testing.B, pop *workload.Population) (*faas.Platform, *faas.Edg
 	gw := faas.NewGateway(platform)
 	gw.Clock = workload.DeployWindowClock()
 	gw.UnreachableDelay = 2 * time.Second
-	e, err := faas.StartEdge(gw)
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := faas.StartEdge(gw)
 	return platform, e
 }
 
+// dialBoth routes port 443 to the edge's HTTPS listener and every other
+// port to its plain one. Install it as both DialContext and DialTLSContext:
+// the HTTPS listener speaks plain HTTP framing.
 func dialBoth(e *faas.Edge) func(ctx context.Context, network, addr string) (net.Conn, error) {
 	return func(ctx context.Context, _, addr string) (net.Conn, error) {
 		if strings.HasSuffix(addr, ":443") {
-			return e.DialTLS(ctx)
+			return e.DialHTTPS(ctx)
 		}
 		return e.DialPlain(ctx)
 	}

@@ -568,11 +568,7 @@ func (p *pipeline) substrate(_ context.Context, sp *obs.Span) error {
 	gw.Instrument(p.reg)
 	gw.Clock = workload.DeployWindowClock()
 	gw.UnreachableDelay = 10 * cfg.ProbeTimeout
-	edge, err := faas.StartEdge(gw)
-	if err != nil {
-		return err
-	}
-	p.edge = edge
+	p.edge = faas.StartEdge(gw)
 	sp.SetAttr("functions", len(p.pop.Functions))
 	return nil
 }
@@ -807,7 +803,9 @@ func (p *pipeline) disclosure(_ context.Context, sp *obs.Span) error {
 
 // probeConfig configures the probe stage's prober: DNS through the
 // simulated resolver, connections to the in-memory edge, both through the
-// chaos layer.
+// chaos layer. One dialer serves both transport hooks: https:// requests
+// arrive through DialTLSContext, so the transport runs no handshake over
+// the edge's plain-framed port-443 conn.
 func probeConfig(cfg Config, pop *workload.Population, resolver *dnssim.Resolver, edge *faas.Edge, injector *fault.Injector, reg *obs.Registry) probe.Config {
 	var breaker probe.Breaker
 	if cfg.BreakerThreshold > 0 {
@@ -817,6 +815,7 @@ func probeConfig(cfg Config, pop *workload.Population, resolver *dnssim.Resolver
 		breaker = br
 	}
 	matcher := providers.NewMatcher(nil)
+	dial := injector.WrapDial(simDialer(edge, httpOnlyFQDNs(pop)))
 	return probe.Config{
 		Timeout:      cfg.ProbeTimeout,
 		Concurrency:  cfg.ProbeConcurrency,
@@ -843,7 +842,8 @@ func probeConfig(cfg Config, pop *workload.Population, resolver *dnssim.Resolver
 			_, err := resolver.Resolve(fqdn, rng)
 			return err
 		}),
-		DialContext: injector.WrapDial(simDialer(edge, httpOnlyFQDNs(pop))),
+		DialContext:    dial,
+		DialTLSContext: dial,
 	}
 }
 
@@ -997,9 +997,9 @@ func scanC2(ctx context.Context, cfg Config, edge *faas.Edge, db *c2.DB, reg *ob
 	return out
 }
 
-// simDialer routes the prober at the simulated edge: port 443 to the TLS
+// simDialer routes the prober at the simulated edge: port 443 to the HTTPS
 // listener, everything else to the plain listener. HTTP-only functions
-// refuse TLS.
+// refuse HTTPS.
 func simDialer(edge *faas.Edge, httpOnly map[string]bool) func(ctx context.Context, network, addr string) (net.Conn, error) {
 	return func(ctx context.Context, network, addr string) (net.Conn, error) {
 		host, port, err := net.SplitHostPort(addr)
@@ -1010,9 +1010,9 @@ func simDialer(edge *faas.Edge, httpOnly map[string]bool) func(ctx context.Conte
 			return edge.DialPlain(ctx)
 		}
 		if httpOnly[strings.ToLower(host)] {
-			return nil, fmt.Errorf("connection refused (no TLS listener for %s)", host)
+			return nil, fmt.Errorf("connection refused (no HTTPS listener for %s)", host)
 		}
-		return edge.DialTLS(ctx)
+		return edge.DialHTTPS(ctx)
 	}
 }
 

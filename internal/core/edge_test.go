@@ -16,6 +16,8 @@ import (
 	"repro/internal/c2"
 	"repro/internal/dnssim"
 	"repro/internal/faas"
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/providers"
 	"repro/internal/ti"
@@ -26,26 +28,23 @@ import (
 // edge: the probe stage's prober sweeps the same population through the
 // same gateway twice, once over faas.Edge and once over httptest listeners
 // on loopback, and every target must record the same result. Only the time
-// a held request takes may differ.
+// a held request takes may differ. The edge's HTTPS is handshake-free; the
+// loopback side runs real TLS handshakes over DialContext. Under heavy
+// chaos each side gets its own injector, so the fault schedules match and
+// every retry and fallback must land alike.
 func TestEdgeMatchesLoopback(t *testing.T) {
 	pop := workload.Generate(workload.Config{Seed: 1, Scale: 0.002})
 	platform := faas.NewPlatform()
 	workload.Deploy(pop, platform, c2.DefaultDB())
-	cfg := Config{ProbeTimeout: 2 * time.Second, ProbeConcurrency: 32}
 	gw := faas.NewGateway(platform)
 	gw.Clock = workload.DeployWindowClock()
-	gw.UnreachableDelay = 10 * cfg.ProbeTimeout
+	gw.UnreachableDelay = 20 * time.Second
 	resolver := dnssim.NewResolver()
 	workload.MarkDeleted(pop, resolver)
 	targets := pop.ProbeTargets()
 
-	edge, err := faas.StartEdge(gw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge := faas.StartEdge(gw)
 	defer edge.Close()
-	viaEdge := probe.New(probeConfig(cfg, pop, resolver, edge, nil, nil)).ProbeAll(context.Background(), targets)
-
 	plainSrv := httptest.NewServer(gw)
 	defer plainSrv.Close()
 	tlsSrv := httptest.NewUnstartedServer(gw)
@@ -53,8 +52,7 @@ func TestEdgeMatchesLoopback(t *testing.T) {
 	tlsSrv.StartTLS()
 	defer tlsSrv.Close()
 	httpOnly := httpOnlyFQDNs(pop)
-	loopCfg := probeConfig(cfg, pop, resolver, nil, nil, nil)
-	loopCfg.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+	loopDial := func(ctx context.Context, network, addr string) (net.Conn, error) {
 		host, port, _ := net.SplitHostPort(addr)
 		var d net.Dialer
 		if port != "443" {
@@ -65,34 +63,75 @@ func TestEdgeMatchesLoopback(t *testing.T) {
 		}
 		return d.DialContext(ctx, network, tlsSrv.Listener.Addr().String())
 	}
-	viaLoop := probe.New(loopCfg).ProbeAll(context.Background(), targets)
 
-	classes := map[string]int{}
-	for i, fqdn := range targets {
-		e, l := &viaEdge[i], &viaLoop[i]
-		if e.Reachable != l.Reachable || e.Failure != l.Failure || e.HTTPS != l.HTTPS ||
-			e.Status != l.Status || e.ContentType != l.ContentType || e.Location != l.Location ||
-			!bytes.Equal(e.Body, l.Body) || e.Attempts != l.Attempts {
-			t.Errorf("%s: edge and loopback disagree\n  edge:     %+v\n  loopback: %+v", fqdn, summarise(e), summarise(l))
-		}
-		switch {
-		case e.Failure == probe.FailDNS:
-			classes["dns"]++
-		case e.Failure == probe.FailTimeout:
-			classes["timeout"]++
-		case e.Reachable && !e.HTTPS:
-			classes["http-fallback"]++
-		case e.Status == 200:
-			classes["200"]++
-		case e.Status == 403 || e.Status == 404:
-			classes["403/404"]++
-		}
-	}
-	t.Logf("target classes: %v", classes)
-	for _, c := range []string{"200", "403/404", "http-fallback", "timeout", "dns"} {
-		if classes[c] == 0 {
-			t.Errorf("no %s target in the sample; the oracle does not cover it (classes %v)", c, classes)
-		}
+	for _, tc := range []struct {
+		name    string
+		chaos   fault.Profile
+		retries int
+		classes []string // outcome classes the sample must cover
+	}{
+		{"clean", fault.None(), 0, []string{"200", "403/404", "http-fallback", "timeout", "dns"}},
+		{"heavy-chaos", fault.Heavy().WithSeed(1), 2, []string{"200", "403/404", "http-fallback", "timeout", "dns", "conn", "retried"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{ProbeTimeout: 2 * time.Second, ProbeConcurrency: 32, ProbeRetries: tc.retries, ProbeRetryBackoff: time.Millisecond}
+			sweep := func(edge *faas.Edge, dial fault.DialFunc) ([]probe.Result, obs.Snapshot) {
+				in := fault.New(tc.chaos)
+				in.SetSpikeDelay(3 * cfg.ProbeTimeout)
+				reg := obs.NewRegistry()
+				in.Instrument(reg)
+				pc := probeConfig(cfg, pop, resolver, edge, in, reg)
+				if dial != nil {
+					// Real TLS: clear the handshake-free hook, so the
+					// transport handshakes over DialContext.
+					pc.DialContext, pc.DialTLSContext = in.WrapDial(dial), nil
+				}
+				return probe.New(pc).ProbeAll(context.Background(), targets), reg.Snapshot()
+			}
+			viaEdge, edgeSnap := sweep(edge, nil)
+			viaLoop, loopSnap := sweep(nil, loopDial)
+
+			for _, m := range degradationMetrics {
+				if m.stage == "probe" && edgeSnap.Counters[m.metric] != loopSnap.Counters[m.metric] {
+					t.Errorf("%s: edge %d, loopback %d", m.metric, edgeSnap.Counters[m.metric], loopSnap.Counters[m.metric])
+				}
+			}
+			classes := map[string]int{}
+			for i, fqdn := range targets {
+				e, l := &viaEdge[i], &viaLoop[i]
+				if e.Reachable != l.Reachable || e.Failure != l.Failure || e.HTTPS != l.HTTPS ||
+					e.Status != l.Status || e.ContentType != l.ContentType || e.Location != l.Location ||
+					!bytes.Equal(e.Body, l.Body) || e.Attempts != l.Attempts {
+					t.Errorf("%s: edge and loopback disagree\n  edge:     %+v\n  loopback: %+v", fqdn, summarise(e), summarise(l))
+				}
+				if e.Attempts > 2 {
+					classes["retried"]++
+				}
+				switch {
+				case e.Failure == probe.FailDNS:
+					classes["dns"]++
+				case e.Failure == probe.FailTimeout:
+					classes["timeout"]++
+				case e.Failure == probe.FailConn:
+					classes["conn"]++
+				case e.Reachable && !e.HTTPS:
+					classes["http-fallback"]++
+				case e.Status == 200:
+					classes["200"]++
+				case e.Status == 403 || e.Status == 404:
+					classes["403/404"]++
+				}
+			}
+			t.Logf("target classes: %v", classes)
+			for _, c := range tc.classes {
+				if classes[c] == 0 {
+					t.Errorf("no %s target in the sample; the oracle does not cover it (classes %v)", c, classes)
+				}
+			}
+			if tc.chaos.Enabled() && edgeSnap.Counters["fault_truncations_injected_total"] == 0 {
+				t.Error("no truncation injected; the oracle does not cover it")
+			}
+		})
 	}
 }
 
@@ -118,12 +157,10 @@ func TestEdgeHeldProbeEndsAtOnce(t *testing.T) {
 		func(*faas.InvokeContext) faas.Response { return faas.Response{Status: 200} }, time.Time{})
 	gw := faas.NewGateway(platform)
 	gw.UnreachableDelay = 2 * time.Hour
-	edge, err := faas.StartEdge(gw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge := faas.StartEdge(gw)
 	defer edge.Close()
-	p := probe.New(probe.Config{Timeout: time.Hour, DialContext: simDialer(edge, nil)})
+	dial := simDialer(edge, nil)
+	p := probe.New(probe.Config{Timeout: time.Hour, DialContext: dial, DialTLSContext: dial})
 	done := make(chan probe.Result, 1)
 	go func() { done <- p.Probe(context.Background(), fqdn) }()
 	select {
@@ -155,10 +192,7 @@ func TestScanC2SortsByHost(t *testing.T) {
 	}
 	gw := faas.NewGateway(platform)
 	gw.Clock = workload.DeployWindowClock()
-	edge, err := faas.StartEdge(gw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edge := faas.StartEdge(gw)
 	defer edge.Close()
 
 	ds := scanC2(context.Background(), Config{ProbeTimeout: 2 * time.Second}, edge, db, nil, hosts)

@@ -2,17 +2,9 @@ package faas
 
 import (
 	"context"
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
-	"crypto/tls"
-	"crypto/x509"
-	"crypto/x509/pkix"
 	"errors"
-	"fmt"
 	"io"
 	"log"
-	"math/big"
 	"net"
 	"net/http"
 	"os"
@@ -22,59 +14,59 @@ import (
 	"time"
 )
 
-// Edge serves a handler over an in-memory network: one plain-HTTP listener
-// (port-80 semantics) and one TLS listener (port-443 semantics), both run by
-// the real net/http server and crypto/tls. A dialer gets one end of a
-// buffered conn pair and the server the other, so a probe pays for its TLS
-// handshake and HTTP framing and for no kernel round trip.
+// Edge serves a handler over an in-memory network: one listener with port-80
+// semantics and one with port-443 semantics, both run by the real net/http
+// server. Both speak plain HTTP framing. The 443 listener stands for the
+// provider's HTTPS endpoint: a client reaches it through
+// http.Transport.DialTLSContext, which net/http treats as an already-secured
+// conn, so the request keeps its https:// scheme without a key exchange
+// whose result nothing downstream reads. A dialer gets one end of a
+// buffered conn pair and the server the other, so a probe pays for HTTP
+// framing and for no kernel round trip.
 //
 // The pair also turns the gateway's hold on internal-only functions into an
 // event: the server end can see the client end's read deadline, and fires
 // it as soon as the hold would outlast it (see Gateway.hold).
 type Edge struct {
-	srv        *http.Server
-	plain, tls *edgeListener
-	wg         sync.WaitGroup
+	srv          *http.Server
+	plain, https *edgeListener
+	wg           sync.WaitGroup
 }
 
-// StartEdge serves h over a fresh in-memory edge with an ephemeral
-// self-signed certificate. The serve loops, and the connection goroutines
-// they start, carry the pprof label stage=edge: edge CPU is its own line in
-// a profile, not charged to the pipeline stage that started the edge.
-func StartEdge(h http.Handler) (*Edge, error) {
-	cert, err := selfSignedCert()
-	if err != nil {
-		return nil, err
-	}
+// StartEdge serves h over a fresh in-memory edge. The serve loops, and the
+// connection goroutines they start, carry the pprof label stage=edge: edge
+// CPU is its own line in a profile, not charged to the pipeline stage that
+// started the edge.
+func StartEdge(h http.Handler) *Edge {
 	e := &Edge{
 		plain: newEdgeListener(plainAddr),
-		tls:   newEdgeListener(tlsAddr),
+		https: newEdgeListener(httpsAddr),
 		srv: &http.Server{
 			Handler:     h,
 			ConnContext: withEdgeConn,
-			// The chaos layer aborts handshakes and resets connections by
-			// design; the server's complaints about them are expected noise,
-			// not signal, so they are dropped rather than spammed to stderr.
+			// The chaos layer truncates and resets connections by design;
+			// the server's complaints about them are expected noise, not
+			// signal, so they are dropped rather than spammed to stderr.
 			ErrorLog: log.New(io.Discard, "", 0),
 		},
 	}
-	tlsLn := tls.NewListener(e.tls, &tls.Config{Certificates: []tls.Certificate{cert}})
-	for _, ln := range []net.Listener{e.plain, tlsLn} {
+	for _, ln := range []net.Listener{e.plain, e.https} {
 		e.wg.Add(1)
 		go pprof.Do(context.Background(), pprof.Labels("stage", "edge"), func(context.Context) {
 			defer e.wg.Done()
 			e.srv.Serve(ln)
 		})
 	}
-	return e, nil
+	return e
 }
 
 // DialPlain connects to the plain-HTTP listener.
 func (e *Edge) DialPlain(ctx context.Context) (net.Conn, error) { return e.plain.dial(ctx) }
 
-// DialTLS connects to the TLS listener; the caller runs the client side of
-// the handshake.
-func (e *Edge) DialTLS(ctx context.Context) (net.Conn, error) { return e.tls.dial(ctx) }
+// DialHTTPS connects to the port-443 listener. The conn carries plain HTTP
+// framing: hand it to net/http through Transport.DialTLSContext, not
+// DialContext, or the transport runs a TLS handshake the edge never answers.
+func (e *Edge) DialHTTPS(ctx context.Context) (net.Conn, error) { return e.https.dial(ctx) }
 
 // Close shuts both listeners and every open connection down.
 func (e *Edge) Close() {
@@ -136,13 +128,13 @@ func (a edgeAddr) String() string  { return string(a) }
 var (
 	clientAddr net.Addr = edgeAddr("edge:client")
 	plainAddr  net.Addr = edgeAddr("edge:80")
-	tlsAddr    net.Addr = edgeAddr("edge:443")
+	httpsAddr  net.Addr = edgeAddr("edge:443")
 )
 
 // queue is one direction of a conn pair. It is unbounded, so a writer never
-// waits for its reader: a TLS close_notify written to a peer that has
-// stopped reading lands in the buffer instead of stalling Close, as it
-// would on an unbuffered net.Pipe.
+// waits for its reader: a response written to a peer that has stopped
+// reading lands in the buffer instead of stalling the server's handler, as
+// it would on an unbuffered net.Pipe.
 type queue struct {
 	mu    sync.Mutex
 	buf   []byte
@@ -328,38 +320,10 @@ func (c *edgeConn) expirePeer(d time.Duration) bool {
 type edgeConnKey struct{}
 
 // withEdgeConn is the edge server's ConnContext: it puts the server end of
-// an edge conn, under any TLS layer, where Gateway.hold can find it.
+// an edge conn where Gateway.hold can find it.
 func withEdgeConn(ctx context.Context, c net.Conn) context.Context {
-	if tc, ok := c.(*tls.Conn); ok {
-		c = tc.NetConn()
-	}
 	if ec, ok := c.(*edgeConn); ok {
 		return context.WithValue(ctx, edgeConnKey{}, ec)
 	}
 	return ctx
-}
-
-// selfSignedCert mints an ephemeral ECDSA certificate for the simulated
-// edge. Probers connect with verification disabled, as they would against
-// mis-deployed endpoints in a measurement campaign.
-func selfSignedCert() (tls.Certificate, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return tls.Certificate{}, fmt.Errorf("faas: edge key: %w", err)
-	}
-	tmpl := x509.Certificate{
-		SerialNumber: big.NewInt(1),
-		Subject:      pkix.Name{CommonName: "simulated-cloud-edge"},
-		NotBefore:    time.Now().Add(-time.Hour),
-		NotAfter:     time.Now().Add(24 * time.Hour),
-		KeyUsage:     x509.KeyUsageDigitalSignature | x509.KeyUsageCertSign,
-		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
-		DNSNames:     []string{"*"},
-		IsCA:         true,
-	}
-	der, err := x509.CreateCertificate(rand.Reader, &tmpl, &tmpl, &key.PublicKey, key)
-	if err != nil {
-		return tls.Certificate{}, fmt.Errorf("faas: edge cert: %w", err)
-	}
-	return tls.Certificate{Certificate: [][]byte{der}, PrivateKey: key}, nil
 }

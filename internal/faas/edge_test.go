@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"crypto/tls"
 	"errors"
 	"io"
 	"net"
@@ -178,29 +177,20 @@ func TestGatewayHoldKernelSocket(t *testing.T) {
 
 // On the edge the conn decides: a client deadline inside the hold fires at
 // once and the gateway writes nothing; without one, the hold runs on the
-// wall clock and ends in a 504. Both listeners, so the TLS layer is
-// unwrapped on the way to the conn.
+// wall clock and ends in a 504. Both listeners speak plain HTTP, and each
+// hands the gateway its conn.
 func TestGatewayHoldEdge(t *testing.T) {
 	dials := []struct {
 		name string
 		dial func(e *Edge) (net.Conn, error)
 	}{
 		{"plain", func(e *Edge) (net.Conn, error) { return e.DialPlain(context.Background()) }},
-		{"tls", func(e *Edge) (net.Conn, error) {
-			c, err := e.DialTLS(context.Background())
-			if err != nil {
-				return nil, err
-			}
-			return tls.Client(c, &tls.Config{InsecureSkipVerify: true}), nil
-		}},
+		{"https", func(e *Edge) (net.Conn, error) { return e.DialHTTPS(context.Background()) }},
 	}
 	for _, d := range dials {
 		t.Run(d.name+"/deadline inside the hold", func(t *testing.T) {
 			g, reg, fqdn := heldGateway(2 * time.Hour)
-			e, err := StartEdge(g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := StartEdge(g)
 			defer e.Close()
 			conn, err := d.dial(e)
 			if err != nil {
@@ -227,10 +217,7 @@ func TestGatewayHoldEdge(t *testing.T) {
 		})
 		t.Run(d.name+"/no deadline", func(t *testing.T) {
 			g, reg, fqdn := heldGateway(20 * time.Millisecond)
-			e, err := StartEdge(g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := StartEdge(g)
 			defer e.Close()
 			conn, err := d.dial(e)
 			if err != nil {
@@ -256,13 +243,9 @@ func TestGatewayHoldEdge(t *testing.T) {
 func TestEdgeServesUnderEdgeLabel(t *testing.T) {
 	g, _, fqdn := heldGateway(time.Hour)
 	var e *Edge
-	var err error
 	pprof.Do(context.Background(), pprof.Labels("stage", "substrate"), func(context.Context) {
-		e, err = StartEdge(g)
+		e = StartEdge(g)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer e.Close()
 	conn, err := e.DialPlain(context.Background())
 	if err != nil {
@@ -297,10 +280,7 @@ func BenchmarkEdgeConn(b *testing.B) {
 	g := NewGateway(p)
 	var tick atomic.Int64 // a minute per request: no invocation overlaps another
 	g.Clock = func() time.Time { return t0.Add(time.Duration(tick.Add(1)) * time.Minute) }
-	e, err := StartEdge(g)
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := StartEdge(g)
 	defer e.Close()
 	srv := httptest.NewServer(g)
 	defer srv.Close()

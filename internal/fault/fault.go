@@ -235,8 +235,11 @@ type Plan struct {
 	FlapN int
 	// Truncate kills the connection after TruncateAfter bytes read. The
 	// budget is kept in [256, 640): large enough that plain-HTTP response
-	// headers arrive, small enough that a TLS handshake never completes —
-	// so the outcome is deterministic, not a race with handshake size.
+	// headers arrive, small enough that a TLS handshake never completes.
+	// A port-443 dial under Truncate therefore fails outright (see
+	// WrapDial): the HTTPS attempt dies as a handshake cut short would,
+	// whether or not the dialed conn runs a handshake, so the outcome is
+	// deterministic, not a race with handshake size.
 	Truncate      bool
 	TruncateAfter int
 	Latency       bool
@@ -368,13 +371,17 @@ func (in *Injector) WrapResolve(next func(fqdn string) error) func(fqdn string) 
 // WrapDial wraps a dialer with the connection-level fault classes: latency
 // spikes, flapping, resets, and truncation. The FQDN is recovered from the
 // dial address, so the same wrapper serves the simulated gateway and a real
-// net.Dialer alike.
+// net.Dialer alike. A truncated dial to port 443 fails with
+// ErrInjectedReset once the underlying dial succeeds: the budget never
+// covers a TLS handshake, and a dialer that hands net/http an
+// already-secured conn runs none, so cutting the byte stream would
+// otherwise let the HTTPS attempt through with a partial body.
 func (in *Injector) WrapDial(next DialFunc) DialFunc {
 	if in == nil || !in.prof.Enabled() {
 		return next
 	}
 	return func(ctx context.Context, network, addr string) (net.Conn, error) {
-		host, _, err := net.SplitHostPort(addr)
+		host, port, err := net.SplitHostPort(addr)
 		if err != nil {
 			host = addr
 		}
@@ -406,6 +413,10 @@ func (in *Injector) WrapDial(next DialFunc) DialFunc {
 			return c, err
 		}
 		in.mTrunc.Inc()
+		if port == "443" {
+			c.Close()
+			return nil, ErrInjectedReset
+		}
 		return &truncConn{Conn: c, remaining: plan.TruncateAfter}, nil
 	}
 }

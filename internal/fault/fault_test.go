@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -286,6 +287,30 @@ func TestWrapDialTruncates(t *testing.T) {
 	plan := in.PlanFor("trunc.example.com")
 	if total != plan.TruncateAfter {
 		t.Errorf("read %d bytes before reset, want the plan's budget %d", total, plan.TruncateAfter)
+	}
+}
+
+// TestWrapDialTruncatedHTTPSFailsDial: the truncation budget never covers a
+// TLS handshake, so a truncated port-443 dial fails whether or not the
+// dialed conn runs one. A dial the layer below refuses stays its own error
+// and is not counted as a truncation.
+func TestWrapDialTruncatedHTTPSFailsDial(t *testing.T) {
+	in := New(Profile{Name: "t", Seed: 1, Truncate: 1})
+	reg := obs.NewRegistry()
+	in.Instrument(reg)
+	dial := in.WrapDial(pipeDialer(func(c net.Conn) { io.Copy(io.Discard, c) }))
+	for i := 0; i < 2; i++ {
+		if c, err := dial(context.Background(), "tcp", "trunc.example.com:443"); !errors.Is(err, ErrInjectedReset) {
+			t.Fatalf("dial %d: conn %v, err %v; want an injected reset", i, c, err)
+		}
+	}
+	refused := errors.New("connection refused")
+	dial = in.WrapDial(func(context.Context, string, string) (net.Conn, error) { return nil, refused })
+	if _, err := dial(context.Background(), "tcp", "trunc.example.com:443"); err != refused {
+		t.Fatalf("refused dial: err = %v, want the dialer's own error", err)
+	}
+	if got := reg.Snapshot().Counters["fault_truncations_injected_total"]; got != 2 {
+		t.Errorf("fault_truncations_injected_total = %d, want 2", got)
 	}
 }
 

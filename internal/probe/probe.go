@@ -90,6 +90,13 @@ type Config struct {
 	// custom dialer is installed, because the simulated endpoints present
 	// a test certificate for a different name.
 	DialContext func(ctx context.Context, network, addr string) (net.Conn, error)
+	// DialTLSContext, when set, dials https:// requests in DialContext's
+	// place. net/http treats its conn as already secured: it runs no
+	// handshake over it, and the request keeps its https scheme. The
+	// simulation reaches the edge's port-443 listener, which speaks plain
+	// HTTP framing, this way. Nil leaves https:// to DialContext and a real
+	// TLS handshake.
+	DialTLSContext func(ctx context.Context, network, addr string) (net.Conn, error)
 	// RatePerSecond caps the campaign-wide request rate, a politeness
 	// control on top of the per-function caps; 0 disables.
 	RatePerSecond float64
@@ -207,17 +214,20 @@ func New(cfg Config) *Prober {
 	if cfg.DialContext != nil {
 		tr.DialContext = cfg.DialContext
 		if !cfg.KeepTLSVerify {
-			// The simulation's key exchange is P-256 alone. Its assembly
-			// implementation (amd64, arm64) costs a fraction of X25519's
-			// generic field arithmetic once the race detector instruments
-			// that: under -race, X25519 doubles the probe sweep's CPU,
-			// and with it every request's latency in a CPU-bound sweep.
+			// A custom dialer that reaches real TLS listeners (the
+			// loopback oracle, scfbench's traced probe pass) gets P-256
+			// alone. Its assembly implementation (amd64, arm64) costs a
+			// fraction of X25519's generic field arithmetic once the race
+			// detector instruments that: under -race, X25519 doubles a
+			// handshaking sweep's CPU, and with it every request's
+			// latency in a CPU-bound sweep.
 			tr.TLSClientConfig = &tls.Config{
 				InsecureSkipVerify: true,
 				CurvePreferences:   []tls.CurveID{tls.CurveP256},
 			}
 		}
 	}
+	tr.DialTLSContext = cfg.DialTLSContext
 	var interval time.Duration
 	if cfg.RatePerSecond > 0 {
 		interval = time.Duration(float64(time.Second) / cfg.RatePerSecond)

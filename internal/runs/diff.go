@@ -355,9 +355,10 @@ type GateOptions struct {
 	// MinSamples / clamp rules as the global histogram gate govern the
 	// per-provider p99 check. Negative disables both provider gates.
 	ErrRateTol float64
-	// Degradations flags new degradation kinds and counts growing past
-	// 2×A+10 — under a seeded chaos profile both runs see the same
-	// schedule, so drift means behaviour changed.
+	// Degradations flags new degradation kinds. When the configs match,
+	// both runs draw the same seeded fault schedule, so any count that
+	// moved, up or down, or a row that vanished, means behaviour changed;
+	// across differing configs only counts growing past 2×A+10 gate.
 	Degradations bool
 	// Artifacts flags fingerprint mismatches on deterministic artifacts.
 	Artifacts bool
@@ -435,7 +436,9 @@ func (r *Report) Gate(o GateOptions) []string {
 			switch {
 			case d.A == 0 && d.B > 0:
 				v = append(v, fmt.Sprintf("new degradation %s/%s: 0 -> %d", d.Stage, d.Kind, d.B))
-			case d.B > d.A*2+10:
+			case r.ConfigMatch && d.B < d.A:
+				v = append(v, fmt.Sprintf("degradation %s/%s shrank: %d -> %d", d.Stage, d.Kind, d.A, d.B))
+			case r.ConfigMatch && d.B > d.A, d.B > d.A*2+10:
 				v = append(v, fmt.Sprintf("degradation %s/%s grew: %d -> %d", d.Stage, d.Kind, d.A, d.B))
 			}
 		}

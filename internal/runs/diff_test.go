@@ -178,10 +178,40 @@ func TestGateDegradationDrift(t *testing.T) {
 	if !strings.Contains(joined, "grew") || !strings.Contains(joined, "new degradation") {
 		t.Fatalf("unexpected violations: %v", v)
 	}
-	// Growth inside the 2A+10 envelope passes (chaos schedules jitter).
+	// Across differing configs, growth inside the 2A+10 envelope passes:
+	// the runs drew different fault schedules.
 	b.Summary.Degradations[0].Count = 15
-	if v := Diff(a, b).Gate(GateOptions{WallTol: -1, P99Tol: -1, Degradations: true}); len(v) != 1 {
-		t.Fatalf("only the new kind should gate, got %v", v)
+	b.Summary.ConfigHash, b.Summary.ID = "bbbb", "r-bbbbbbbbbbbb"
+	v = Diff(a, b).Gate(GateOptions{WallTol: -1, P99Tol: -1, Degradations: true})
+	if len(v) != 2 || !strings.Contains(v[0], "config mismatch") || !strings.Contains(v[1], "new degradation") {
+		t.Fatalf("only the config mismatch and the new kind should gate, got %v", v)
+	}
+}
+
+// TestGateDegradationShrinks: under a matching config both runs drew the
+// same seeded fault schedule, so a row that shrank, or vanished, is
+// behaviour that changed. The counts are golden-chaos's truncations when a
+// handshake-free HTTPS attempt survived its truncation budget.
+func TestGateDegradationShrinks(t *testing.T) {
+	a := baselineRecord()
+	a.Summary.Degradations = []obs.Degradation{
+		{Stage: "probe", Kind: "injected-truncations", Count: 426},
+		{Stage: "probe", Kind: "conn-retries", Count: 912},
+		{Stage: "probe", Kind: "injected-flaps", Count: 346},
+	}
+	b := clone(a)
+	b.Summary.Degradations = []obs.Degradation{
+		{Stage: "probe", Kind: "injected-truncations", Count: 111},
+		{Stage: "probe", Kind: "conn-retries", Count: 912},
+	}
+	v := Diff(a, b).Gate(GateOptions{WallTol: -1, P99Tol: -1, Degradations: true})
+	joined := strings.Join(v, "\n")
+	if len(v) != 2 || !strings.Contains(joined, "injected-truncations shrank: 426 -> 111") ||
+		!strings.Contains(joined, "injected-flaps shrank: 346 -> 0") {
+		t.Fatalf("want the shrunk and the vanished row flagged, got %v", v)
+	}
+	if v := Diff(a, clone(a)).Gate(GateOptions{WallTol: -1, P99Tol: -1, Degradations: true}); len(v) != 0 {
+		t.Fatalf("equal rows must pass, got %v", v)
 	}
 }
 
