@@ -236,10 +236,9 @@ type Plan struct {
 	// Truncate kills the connection after TruncateAfter bytes read. The
 	// budget is kept in [256, 640): large enough that plain-HTTP response
 	// headers arrive, small enough that a TLS handshake never completes.
-	// A port-443 dial under Truncate therefore fails outright (see
-	// WrapDial): the HTTPS attempt dies as a handshake cut short would,
-	// whether or not the dialed conn runs a handshake, so the outcome is
-	// deterministic, not a race with handshake size.
+	// WrapDial therefore fails a truncated port-443 dial outright, whether
+	// or not the conn would run a handshake: the outcome is deterministic,
+	// not a race with handshake size.
 	Truncate      bool
 	TruncateAfter int
 	Latency       bool
