@@ -632,7 +632,7 @@ func BenchmarkEmitPDNS(b *testing.B) {
 }
 
 // BenchmarkFunctionStream measures the emission RNG layer for one function:
-// reseed the shard's stream, as emitShardBatchCkpt does per function, then
+// reseed the shard's stream, as emitShard does per function, then
 // draw 50 values, about the mean a function draws emitting its PDNS history
 // (43.5 at seed 1, scale 0.01; the median is 7). math-rand is the stdlib
 // source the streams are defined by; lazyrand yields the same values.

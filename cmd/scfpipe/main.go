@@ -13,7 +13,6 @@
 //	scfpipe -run-dir .runs                   # archive the run for scfruns
 //	scfpipe -no-archive                      # skip the run archive
 //	scfpipe -health-strict                   # exit 1 if an SLO health rule fires
-//	scfpipe -checkpoint-interval 100000      # denser mid-emission checkpoints
 //	scfpipe -resume                          # resume an interrupted run
 //	scfpipe -chaos crash=probe               # seeded crash injection (testing)
 //	scfpipe -profile                         # archive per-stage pprof profiles
@@ -50,15 +49,15 @@
 //
 // Archived runs also checkpoint their progress under
 // <run-dir>/<run-id>/checkpoints/: a durable snapshot lands at every stage
-// boundary and every -checkpoint-interval emitted PDNS rows (0 = boundaries
-// only, negative = no checkpointing). After a crash or an interrupt,
-// re-running the same configuration with -resume restores the newest valid
-// checkpoint, skips the completed stages, and produces artifacts
-// byte-identical to an uninterrupted run. The first SIGINT/SIGTERM cancels
-// the run cleanly: the probe and C2 sweeps abort, in-flight emission
-// flushes one final checkpoint, and the event log (with the cancellation
-// recorded on the interrupted stage) is written next to the checkpoints
-// with a resume hint; a second signal aborts immediately.
+// boundary (-no-archive turns checkpointing off with the archive). After a
+// crash or an interrupt, re-running the same configuration with -resume
+// restores the newest valid checkpoint, skips the completed stages, re-runs
+// the stage the run died in, and produces artifacts byte-identical to an
+// uninterrupted run. The first SIGINT/SIGTERM cancels the run cleanly: the
+// emission, probe and C2 loops stop, the newest boundary checkpoint stays
+// the resume point, and the event log (with the cancellation recorded on
+// the interrupted stage) is written next to the checkpoints with a resume
+// hint; a second signal aborts immediately.
 //
 // With -profile the run records continuous profiles: one run-wide CPU
 // profile whose samples carry pprof labels for the executing stage (and the
@@ -121,7 +120,6 @@ func main() {
 		runDir       = flag.String("run-dir", "", "archive the run under this directory (default: $SCF_RUN_DIR or .runs)")
 		noArchive    = flag.Bool("no-archive", false, "do not archive the run")
 		healthStrict = flag.Bool("health-strict", false, "exit non-zero when any SLO health rule fired during the run")
-		ckptEvery    = flag.Int64("checkpoint-interval", 250000, "also checkpoint every N emitted PDNS rows (0 = stage boundaries only; negative = disable checkpointing)")
 		resume       = flag.Bool("resume", false, "resume the interrupted run with this configuration from its newest checkpoint")
 		profile      = flag.Bool("profile", false, "record per-stage pprof profiles (CPU with stage/shard labels, heap/allocs/block/mutex at stage boundaries) into the run archive's profiles/ directory")
 	)
@@ -146,16 +144,16 @@ func main() {
 		root = ".runs"
 	}
 	ckptDir := root
-	if *noArchive || *ckptEvery < 0 {
+	if *noArchive {
 		ckptDir = ""
 	}
 	if *resume && ckptDir == "" {
-		log.Fatal("-resume needs checkpointing: drop -no-archive and use -checkpoint-interval >= 0")
+		log.Fatal("-resume needs checkpointing: drop -no-archive")
 	}
 
 	// Two-phase interrupt handling: the first SIGINT/SIGTERM cancels the run
-	// context so emission can flush a final checkpoint and the event log
-	// gets written; a second signal aborts on the spot.
+	// context so the interrupted stage stops and the event log gets written;
+	// a second signal aborts on the spot.
 	ctx, cancel := context.WithCancel(obsContext())
 	defer cancel()
 	sigs := make(chan os.Signal, 2)
@@ -187,23 +185,22 @@ func main() {
 	}
 
 	res, err := core.RunContext(ctx, core.Config{
-		Seed:               *seed,
-		Scale:              *scale,
-		SkipC2Scan:         *skipC2,
-		CacheModel:         *cache,
-		ProbeTimeout:       *timeout,
-		ProbeConcurrency:   *probeConc,
-		Workers:            *workers,
-		Chaos:              chaosProf,
-		ProbeRetries:       *retries,
-		BreakerThreshold:   *breaker,
-		Metrics:            metrics,
-		SampleInterval:     *sampleEvery,
-		CheckpointDir:      ckptDir,
-		CheckpointInterval: *ckptEvery,
-		Resume:             *resume,
-		Profile:            *profile,
-		Timeline:           tl,
+		Seed:             *seed,
+		Scale:            *scale,
+		SkipC2Scan:       *skipC2,
+		CacheModel:       *cache,
+		ProbeTimeout:     *timeout,
+		ProbeConcurrency: *probeConc,
+		Workers:          *workers,
+		Chaos:            chaosProf,
+		ProbeRetries:     *retries,
+		BreakerThreshold: *breaker,
+		Metrics:          metrics,
+		SampleInterval:   *sampleEvery,
+		CheckpointDir:    ckptDir,
+		Resume:           *resume,
+		Profile:          *profile,
+		Timeline:         tl,
 	})
 	exitCode := 0
 	// Only completed runs are archived in full: a partial run would overwrite

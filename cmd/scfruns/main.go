@@ -376,7 +376,7 @@ func showCheckpoints(dir string, ri *runs.RecoveryInfo) {
 	if len(infos) == 0 {
 		return
 	}
-	t := report.NewTable("Checkpoint lineage", "File", "Seq", "Stage", "Rows", "Stages", "Bytes", "Status")
+	t := report.NewTable("Checkpoint lineage", "File", "Seq", "Stage", "Stages", "Bytes", "Status")
 	for _, fi := range infos {
 		status := "ok"
 		switch {
@@ -385,7 +385,7 @@ func showCheckpoints(dir string, ri *runs.RecoveryInfo) {
 		case fi.ResumedFromSeq > 0:
 			status = fmt.Sprintf("resumed from seq %d", fi.ResumedFromSeq)
 		}
-		t.AddRow(fi.Name, fi.Seq, fi.Stage, fi.Rows, fi.Stages, fi.Size, status)
+		t.AddRow(fi.Name, fi.Seq, fi.Stage, fi.Stages, fi.Size, status)
 	}
 	fmt.Println(t.String())
 }

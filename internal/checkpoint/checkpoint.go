@@ -3,22 +3,25 @@
 // pick up a killed campaign and finish it with artifacts byte-identical to
 // an uninterrupted run.
 //
-// A snapshot carries the completed-stage ledger plus the state that is
-// expensive to recompute: the per-shard pdns.Aggregator frontier during
-// emission (progress counters name how many functions of each shard are
-// fully folded in — the resumed run re-emits only the tail by replaying the
-// deterministic per-FQDN RNG streams), the merged Aggregate after the
-// identify stage, and the probe sweep's results. Stages after probe are
-// always recomputed on resume: they are cheap, pure functions of the
-// restored state, so re-running them is both simpler and self-verifying.
+// Snapshots are written at stage boundaries only. Each carries the
+// completed-stage ledger plus the state that is expensive to recompute: the
+// merged Aggregate after the identify stage, the probe sweep's results, and
+// the degradation counters those two stages produced, so a resumed run
+// reports the faults its restored stages absorbed. A run interrupted inside
+// a stage re-runs that stage. The substrate and every stage after probe are
+// always recomputed on resume: they are cheap, pure functions of the seed
+// and the restored state, so re-running them is both simpler and
+// self-verifying.
 //
 // The file format is defensive by construction. Every section is framed as
 // (name, length, payload, CRC32) and the file ends with a mandatory "end"
 // trailer, so torn writes, truncation, and bit rot all decode to an error
 // wrapping ErrCorrupt — never a panic (FuzzCheckpointDecode pins this).
-// The header embeds the run ID (sha256 of the config), so a checkpoint can
-// never be resumed under a different configuration: stale-config resumes
-// fail with ErrMismatch instead of silently mixing two experiments.
+// A file of another format version is refused the same way, before any
+// section is parsed. The header embeds the run ID (sha256 of the config),
+// so a checkpoint can never be resumed under a different configuration:
+// stale-config resumes fail with ErrMismatch instead of silently mixing two
+// experiments.
 package checkpoint
 
 import (
@@ -26,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"time"
 
 	"repro/internal/binio"
@@ -34,8 +38,10 @@ import (
 )
 
 const (
-	magic   = "SCFCKPT1"
-	version = 1
+	magic = "SCFCKPT1"
+	// version changes whenever a section's layout does; Decode refuses
+	// every other version.
+	version = 2
 
 	// DirName is the checkpoint directory inside a run's archive slot:
 	// <run-dir>/<run-id>/checkpoints/. Checkpoints deliberately live on the
@@ -49,9 +55,9 @@ const (
 const (
 	secHeader   = "head"
 	secLedger   = "ledger"
-	secEmission = "emit"
 	secAgg      = "agg"
 	secProbe    = "probe"
+	secCounters = "ctr"
 	secEnd      = "end"
 )
 
@@ -78,25 +84,11 @@ type Header struct {
 	// monotone across resumes (a resumed run continues its parent's
 	// numbering).
 	Seq uint64
-	// Stage is the stage the snapshot was taken in: the just-completed
-	// stage for boundary snapshots, "identify" for mid-emission ones.
+	// Stage is the just-completed stage the snapshot was taken after.
 	Stage string
-	// Rows is the emission row count at a mid-emission snapshot; zero for
-	// stage-boundary snapshots.
-	Rows int64
 	// ResumedFromSeq is the sequence number of the snapshot this run was
 	// restored from, zero for an uninterrupted lineage.
 	ResumedFromSeq uint64
-}
-
-// Emission is the mid-identify frontier: Progress[i] functions of shard i
-// are fully folded into Shards[i], and Rows rows have been emitted in
-// total. Shards are decoded with a nil provider matcher (all providers),
-// matching the aggregation path of core.RunContext.
-type Emission struct {
-	Rows     int64
-	Progress []int64
-	Shards   []*pdns.Aggregator
 }
 
 // ProbeState is the probe stage's complete output.
@@ -110,9 +102,11 @@ type Snapshot struct {
 	Header Header
 	// Stages is the completed-stage ledger in completion order.
 	Stages    []string
-	Emission  *Emission
 	Aggregate *pdns.Aggregate
 	Probe     *ProbeState
+	// Counters holds, by metric name, how much each restorable stage moved
+	// the registry counters behind its degradation rows.
+	Counters map[string]int64
 }
 
 // HasStage reports whether the ledger records stage as completed.
@@ -160,7 +154,6 @@ func Encode(s *Snapshot) ([]byte, error) {
 		w.Varint(int64(s.Header.Workers))
 		w.Uvarint(s.Header.Seq)
 		w.String(s.Header.Stage)
-		w.Varint(s.Header.Rows)
 		w.Uvarint(s.Header.ResumedFromSeq)
 		return nil
 	})
@@ -173,25 +166,6 @@ func Encode(s *Snapshot) ([]byte, error) {
 			return nil
 		})
 	}
-	if err == nil && s.Emission != nil {
-		err = section(secEmission, func(w *binio.Writer) error {
-			w.Varint(s.Emission.Rows)
-			if len(s.Emission.Progress) != len(s.Emission.Shards) {
-				return fmt.Errorf("checkpoint: %d progress entries for %d shards", len(s.Emission.Progress), len(s.Emission.Shards))
-			}
-			w.Uvarint(uint64(len(s.Emission.Shards)))
-			var shard bytes.Buffer
-			for i, agg := range s.Emission.Shards {
-				w.Varint(s.Emission.Progress[i])
-				shard.Reset()
-				if err := agg.EncodeState(&shard); err != nil {
-					return err
-				}
-				w.Bytes(shard.Bytes())
-			}
-			return nil
-		})
-	}
 	if err == nil && s.Aggregate != nil {
 		err = section(secAgg, func(w *binio.Writer) error {
 			return pdns.EncodeAggregate(&payload, s.Aggregate)
@@ -200,6 +174,21 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if err == nil && s.Probe != nil {
 		err = section(secProbe, func(w *binio.Writer) error {
 			encodeProbe(w, s.Probe)
+			return nil
+		})
+	}
+	if err == nil && len(s.Counters) > 0 {
+		err = section(secCounters, func(w *binio.Writer) error {
+			names := make([]string, 0, len(s.Counters))
+			for name := range s.Counters {
+				names = append(names, name)
+			}
+			sort.Strings(names)
+			w.Uvarint(uint64(len(names)))
+			for _, name := range names {
+				w.String(name)
+				w.Varint(s.Counters[name])
+			}
 			return nil
 		})
 	}
@@ -264,12 +253,12 @@ func Decode(data []byte) (*Snapshot, error) {
 			err = decodeHeader(pr, &s.Header)
 		case secLedger:
 			s.Stages, err = decodeLedger(pr)
-		case secEmission:
-			s.Emission, err = decodeEmission(pr)
 		case secAgg:
 			s.Aggregate, err = pdns.DecodeAggregate(payload)
 		case secProbe:
 			s.Probe, err = decodeProbe(pr)
+		case secCounters:
+			s.Counters, err = decodeCounters(pr)
 		case secEnd:
 			sawEnd = true
 		default:
@@ -307,9 +296,6 @@ func decodeHeader(r *binio.Reader, h *Header) error {
 	if h.Stage, err = r.String(); err != nil {
 		return err
 	}
-	if h.Rows, err = r.Varint(); err != nil {
-		return err
-	}
 	h.ResumedFromSeq, err = r.Uvarint()
 	return err
 }
@@ -330,35 +316,22 @@ func decodeLedger(r *binio.Reader) ([]string, error) {
 	return out, nil
 }
 
-func decodeEmission(r *binio.Reader) (*Emission, error) {
-	em := &Emission{}
-	var err error
-	if em.Rows, err = r.Varint(); err != nil {
-		return nil, err
-	}
+func decodeCounters(r *binio.Reader) (map[string]int64, error) {
 	n, err := r.Count(2)
 	if err != nil {
 		return nil, err
 	}
-	em.Progress = make([]int64, 0, n)
-	em.Shards = make([]*pdns.Aggregator, 0, n)
+	out := make(map[string]int64, n)
 	for i := 0; i < n; i++ {
-		prog, err := r.Varint()
+		name, err := r.String()
 		if err != nil {
 			return nil, err
 		}
-		blob, err := r.Bytes()
-		if err != nil {
+		if out[name], err = r.Varint(); err != nil {
 			return nil, err
 		}
-		agg, err := pdns.DecodeAggregatorState(blob, nil)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %v", i, err)
-		}
-		em.Progress = append(em.Progress, prog)
-		em.Shards = append(em.Shards, agg)
 	}
-	return em, nil
+	return out, nil
 }
 
 func encodeProbe(w *binio.Writer, p *ProbeState) {

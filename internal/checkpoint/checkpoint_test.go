@@ -15,7 +15,7 @@ import (
 )
 
 // testSnapshot builds a snapshot exercising every section: header, ledger,
-// emission frontier (two shard aggregators), merged aggregate, probe state.
+// merged aggregate, probe state, stage counter deltas.
 func testSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
 	start := pdns.NewDate(2022, time.April, 1)
@@ -36,17 +36,9 @@ func testSnapshot(t *testing.T) *Snapshot {
 	return &Snapshot{
 		Header: Header{
 			RunID: "r-0123456789ab", Seed: 42, Workers: 3,
-			Seq: 17, Stage: "identify", Rows: 123456, ResumedFromSeq: 4,
+			Seq: 17, Stage: "identify", ResumedFromSeq: 4,
 		},
-		Stages: []string{"substrate", "identify"},
-		Emission: &Emission{
-			Rows:     123456,
-			Progress: []int64{10, 12},
-			Shards: []*pdns.Aggregator{
-				mk("a.lambda-url.us-east-1.on.aws", 0, 3, 9),
-				mk("1234567890-abcdefghij-ap-guangzhou.scf.tencentcs.com", 1, 2),
-			},
-		},
+		Stages:    []string{"substrate", "identify"},
 		Aggregate: mk("b.lambda-url.us-east-1.on.aws", 5, 6).Finish(),
 		Probe: &ProbeState{
 			Results: []probe.Result{
@@ -58,6 +50,7 @@ func testSnapshot(t *testing.T) *Snapshot {
 			Stats: probe.Stats{Probed: 2, Reachable: 1, Unreachable: 1,
 				DNSFailures: 1, Requests: 4, Retried: 2},
 		},
+		Counters: map[string]int64{"pdns_records_dropped_total": 472, "probe_conn_retries_total": 3},
 	}
 }
 
@@ -83,16 +76,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Probe, snap.Probe) {
 		t.Errorf("probe state = %+v, want %+v", got.Probe, snap.Probe)
 	}
-	if got.Emission == nil || got.Emission.Rows != snap.Emission.Rows ||
-		!reflect.DeepEqual(got.Emission.Progress, snap.Emission.Progress) {
-		t.Fatalf("emission frontier did not round-trip: %+v", got.Emission)
-	}
-	// Restored shard aggregators must finish identically to the originals.
-	for i := range snap.Emission.Shards {
-		want := snap.Emission.Shards[i].Finish()
-		if have := got.Emission.Shards[i].Finish(); !reflect.DeepEqual(have, want) {
-			t.Errorf("shard %d finished differently after restore", i)
-		}
+	if !reflect.DeepEqual(got.Counters, snap.Counters) {
+		t.Errorf("counters = %v, want %v", got.Counters, snap.Counters)
 	}
 	if !got.HasStage("identify") || got.HasStage("probe") {
 		t.Error("HasStage does not reflect the decoded ledger")
@@ -151,21 +136,17 @@ func newTestManager(t *testing.T, runID string) (*Manager, string) {
 	return m, root
 }
 
-// TestManagerLifecycle drives a manager through boundary and emission
-// snapshots and checks sequencing, pruning, Latest, and Info.
+// TestManagerLifecycle drives a manager through boundary snapshots and
+// checks sequencing, pruning, counter accumulation, Latest, and Info.
 func TestManagerLifecycle(t *testing.T) {
 	const runID = "r-aaaaaaaaaaaa"
 	m, root := newTestManager(t, runID)
-	m.StageDone("substrate", nil, nil)
-	m.SaveEmission([]int64{3, 4}, []*pdns.Aggregator{
-		pdns.NewAggregator(nil, pdns.NewDate(2022, time.April, 1), pdns.NewDate(2024, time.March, 31)),
-		pdns.NewAggregator(nil, pdns.NewDate(2022, time.April, 1), pdns.NewDate(2024, time.March, 31)),
-	}, 2000)
-	for _, stage := range []string{"identify", "probe", "sanitise"} {
-		m.StageDone(stage, nil, nil)
-	}
+	m.StageDone("substrate", nil, nil, nil)
+	m.StageDone("identify", nil, nil, map[string]int64{"pdns_records_dropped_total": 5})
+	m.StageDone("probe", nil, nil, map[string]int64{"probe_conn_retries_total": 7})
+	m.StageDone("sanitise", nil, nil, nil)
 	// Idempotent ledger: re-announcing a completed stage must not duplicate.
-	m.StageDone("sanitise", nil, nil)
+	m.StageDone("sanitise", nil, nil, nil)
 
 	files := checkpointFiles(Dir(root, runID))
 	if len(files) != keepFiles {
@@ -178,14 +159,18 @@ func TestManagerLifecycle(t *testing.T) {
 	if len(warns) != 0 {
 		t.Errorf("unexpected warnings: %v", warns)
 	}
-	if snap.Header.Seq != 6 || snap.Header.Stage != "sanitise" {
-		t.Errorf("latest = seq %d stage %q, want seq 6 stage sanitise", snap.Header.Seq, snap.Header.Stage)
+	if snap.Header.Seq != 5 || snap.Header.Stage != "sanitise" {
+		t.Errorf("latest = seq %d stage %q, want seq 5 stage sanitise", snap.Header.Seq, snap.Header.Stage)
 	}
 	want := []string{"substrate", "identify", "probe", "sanitise"}
 	if !reflect.DeepEqual(snap.Stages, want) {
 		t.Errorf("ledger = %v, want %v", snap.Stages, want)
 	}
-	if li := m.Info(); li.Writes != 6 || li.LastSeq != 6 || li.Resumed {
+	wantCounters := map[string]int64{"pdns_records_dropped_total": 5, "probe_conn_retries_total": 7}
+	if !reflect.DeepEqual(snap.Counters, wantCounters) {
+		t.Errorf("counters = %v, want %v", snap.Counters, wantCounters)
+	}
+	if li := m.Info(); li.Writes != 5 || li.LastSeq != 5 || li.Resumed {
 		t.Errorf("lineage = %+v", li)
 	}
 
@@ -206,8 +191,8 @@ func TestManagerLifecycle(t *testing.T) {
 func TestLatestSkipsTornNewest(t *testing.T) {
 	const runID = "r-bbbbbbbbbbbb"
 	m, root := newTestManager(t, runID)
-	m.StageDone("substrate", nil, nil)
-	m.StageDone("identify", nil, nil)
+	m.StageDone("substrate", nil, nil, nil)
+	m.StageDone("identify", nil, nil, nil)
 	dir := Dir(root, runID)
 	newest := filepath.Join(dir, fileName(2))
 	data, err := os.ReadFile(newest)
@@ -247,7 +232,7 @@ func TestLatestFailureShapes(t *testing.T) {
 	if _, _, err := Latest(root, "r-cccccccccccc"); !errors.Is(err, ErrNoCheckpoint) {
 		t.Errorf("empty root: err = %v, want ErrNoCheckpoint", err)
 	}
-	m.StageDone("substrate", nil, nil)
+	m.StageDone("substrate", nil, nil, nil)
 	if _, _, err := Latest(root, "r-dddddddddddd"); !errors.Is(err, ErrMismatch) {
 		t.Errorf("other run checkpointed: err = %v, want ErrMismatch", err)
 	}
@@ -276,8 +261,7 @@ func TestLatestFailureShapes(t *testing.T) {
 // TestManagerNilSafe: a nil manager is the disabled path and must be inert.
 func TestManagerNilSafe(t *testing.T) {
 	var m *Manager
-	m.StageDone("substrate", nil, nil)
-	m.SaveEmission(nil, nil, 0)
+	m.StageDone("substrate", nil, nil, nil)
 	m.Restore(&Snapshot{})
 	if li := m.Info(); li != (Lineage{}) {
 		t.Errorf("nil manager lineage = %+v", li)
@@ -290,10 +274,11 @@ func TestManagerRestoreContinuesSequence(t *testing.T) {
 	const runID = "r-eeeeeeeeeeee"
 	m, root := newTestManager(t, runID)
 	m.Restore(&Snapshot{
-		Header: Header{RunID: runID, Seq: 9, Stage: "probe"},
-		Stages: []string{"substrate", "identify", "probe"},
+		Header:   Header{RunID: runID, Seq: 9, Stage: "probe"},
+		Stages:   []string{"substrate", "identify", "probe"},
+		Counters: map[string]int64{"probe_conn_retries_total": 7},
 	})
-	m.StageDone("sanitise", nil, nil)
+	m.StageDone("sanitise", nil, nil, nil)
 	snap, _, err := Latest(root, runID)
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +289,9 @@ func TestManagerRestoreContinuesSequence(t *testing.T) {
 	want := []string{"substrate", "identify", "probe", "sanitise"}
 	if !reflect.DeepEqual(snap.Stages, want) {
 		t.Errorf("ledger = %v, want %v", snap.Stages, want)
+	}
+	if got := snap.Counters["probe_conn_retries_total"]; got != 7 {
+		t.Errorf("restored counter delta = %d in the next snapshot, want 7", got)
 	}
 	if li := m.Info(); !li.Resumed || li.ResumedFrom != 9 || li.ResumedStage != "probe" {
 		t.Errorf("lineage = %+v", li)

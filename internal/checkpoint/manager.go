@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,10 +25,10 @@ func Dir(root, runID string) string { return filepath.Join(root, runID, DirName)
 // Manager owns a run's checkpoint lifecycle: it accumulates the
 // completed-stage ledger plus the latest restorable state, and persists a
 // cumulative snapshot — atomically, via tmp + fsync + rename — at every
-// stage boundary and on demand during emission. Write failures degrade the
-// run's durability, not its correctness, so they are counted and logged but
-// never abort the pipeline. A nil *Manager is a valid no-op, which keeps
-// the checkpoint-disabled path in core free of conditionals.
+// stage boundary. Write failures degrade the run's durability, not its
+// correctness, so they are counted and logged but never abort the
+// pipeline. A nil *Manager is a valid no-op, which keeps the
+// checkpoint-disabled path in core free of conditionals.
 type Manager struct {
 	mu      sync.Mutex
 	dir     string
@@ -43,6 +44,7 @@ type Manager struct {
 	stages       []string
 	agg          *pdns.Aggregate
 	probe        *ProbeState
+	counters     map[string]int64
 	lastWrite    time.Time
 
 	elog    *obs.EventLog
@@ -57,12 +59,13 @@ type Manager struct {
 func NewManager(dir, runID string, seed int64, workers int, reg *obs.Registry, elog *obs.EventLog) *Manager {
 	return &Manager{
 		dir: dir, runID: runID, seed: seed, workers: workers,
-		elog:    elog,
-		mWrites: reg.Counter("checkpoint_write_total"),
-		mErrors: reg.Counter("checkpoint_write_errors_total"),
-		gBytes:  reg.Gauge("checkpoint_last_bytes"),
-		gSeq:    reg.Gauge("checkpoint_last_seq"),
-		gAgeMS:  reg.Gauge("checkpoint_age_ms"),
+		counters: map[string]int64{},
+		elog:     elog,
+		mWrites:  reg.Counter("checkpoint_write_total"),
+		mErrors:  reg.Counter("checkpoint_write_errors_total"),
+		gBytes:   reg.Gauge("checkpoint_last_bytes"),
+		gSeq:     reg.Gauge("checkpoint_last_seq"),
+		gAgeMS:   reg.Gauge("checkpoint_age_ms"),
 	}
 }
 
@@ -82,14 +85,16 @@ func (m *Manager) Restore(s *Snapshot) {
 	m.stages = append([]string(nil), s.Stages...)
 	m.agg = s.Aggregate
 	m.probe = s.Probe
+	maps.Copy(m.counters, s.Counters)
 }
 
 // StageDone records stage as completed and persists a boundary snapshot.
 // agg and probe, when non-nil, replace the manager's restorable state; nil
 // leaves the previously recorded state in place, so snapshots accumulate.
-// The ledger append is idempotent: a resumed run re-announces the stages it
-// skipped without duplicating their entries.
-func (m *Manager) StageDone(stage string, agg *pdns.Aggregate, probe *ProbeState) {
+// counters (the stage's counter deltas, by metric name) are merged into
+// those of earlier stages. The ledger append is idempotent: a resumed run
+// re-announces the stages it skipped without duplicating their entries.
+func (m *Manager) StageDone(stage string, agg *pdns.Aggregate, probe *ProbeState, counters map[string]int64) {
 	if m == nil {
 		return
 	}
@@ -101,6 +106,7 @@ func (m *Manager) StageDone(stage string, agg *pdns.Aggregate, probe *ProbeState
 	if probe != nil {
 		m.probe = probe
 	}
+	maps.Copy(m.counters, counters)
 	seen := false
 	for _, s := range m.stages {
 		if s == stage {
@@ -111,33 +117,21 @@ func (m *Manager) StageDone(stage string, agg *pdns.Aggregate, probe *ProbeState
 	if !seen {
 		m.stages = append(m.stages, stage)
 	}
-	m.save(stage, 0, nil)
-}
-
-// SaveEmission persists a mid-identify snapshot of the emission frontier.
-// The shard aggregators must be quiescent for the duration of the call (the
-// workload coordinator holds every shard lock while invoking this).
-func (m *Manager) SaveEmission(progress []int64, shards []*pdns.Aggregator, rows int64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.save("identify", rows, &Emission{Rows: rows, Progress: progress, Shards: shards})
+	m.save(stage)
 }
 
 // save encodes and atomically writes one snapshot; the caller holds m.mu.
-func (m *Manager) save(stage string, rows int64, em *Emission) {
+func (m *Manager) save(stage string) {
 	m.seq++
 	snap := &Snapshot{
 		Header: Header{
 			RunID: m.runID, Seed: m.seed, Workers: m.workers,
-			Seq: m.seq, Stage: stage, Rows: rows, ResumedFromSeq: m.resumedFrom,
+			Seq: m.seq, Stage: stage, ResumedFromSeq: m.resumedFrom,
 		},
 		Stages:    m.stages,
-		Emission:  em,
 		Aggregate: m.agg,
 		Probe:     m.probe,
+		Counters:  m.counters,
 	}
 	data, err := Encode(snap)
 	if err == nil {
@@ -312,7 +306,6 @@ type FileInfo struct {
 	Size           int64
 	Seq            uint64
 	Stage          string
-	Rows           int64
 	Stages         int
 	ResumedFromSeq uint64
 	Err            string // non-empty when the file failed to decode
@@ -335,7 +328,6 @@ func Inspect(dir string) []FileInfo {
 			if snap, err = Decode(data); err == nil {
 				fi.Seq = snap.Header.Seq
 				fi.Stage = snap.Header.Stage
-				fi.Rows = snap.Header.Rows
 				fi.Stages = len(snap.Stages)
 				fi.ResumedFromSeq = snap.Header.ResumedFromSeq
 			}

@@ -135,19 +135,18 @@ type Config struct {
 	Profile bool
 
 	// CheckpointDir enables durable checkpointing: versioned snapshots of
-	// pipeline progress land under <dir>/<run-id>/checkpoints — written
-	// atomically at every stage boundary and, during PDNS emission, every
-	// CheckpointInterval emitted rows (<= 0 checkpoints at boundaries and
-	// cancellation only). Empty disables checkpointing entirely. Resume
-	// restores the newest valid checkpoint for this config's run ID and
-	// skips the covered work; it requires CheckpointDir. Like
-	// SampleInterval, all three are deliberately NOT part of configMeta:
-	// they change how a run survives interruption, not what it measures, so
-	// toggling them must never move the run ID or any golden fingerprint —
-	// and the crashing and resuming invocations of one run must share an ID.
-	CheckpointDir      string
-	CheckpointInterval int64
-	Resume             bool
+	// pipeline progress land under <dir>/<run-id>/checkpoints, written
+	// atomically at every stage boundary. Empty disables checkpointing
+	// entirely. Resume restores the newest valid checkpoint for this
+	// config's run ID and skips the completed stages; a stage the previous
+	// run was interrupted in runs again from its start. Resume requires
+	// CheckpointDir. Like SampleInterval, both are deliberately NOT part of
+	// configMeta: they change how a run survives interruption, not what it
+	// measures, so toggling them must never move the run ID or any golden
+	// fingerprint — and the crashing and resuming invocations of one run
+	// must share an ID.
+	CheckpointDir string
+	Resume        bool
 }
 
 func (c Config) withDefaults() Config {
@@ -340,6 +339,9 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	res.Trace, res.Metrics = tr, reg
 
 	injector := fault.New(cfg.Chaos)
+	if err := injector.Crashpoints(stageTableNames()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	injector.Instrument(reg)
 	// Latency spikes must outlast the probe client's timeout so they
 	// classify as timeouts rather than hanging the sweep.
@@ -401,7 +403,7 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	observer.Start()
 	capturer := prof.NewCapturer(cfg.Profile)
 	capturer.Start() // a failure surfaces through capturer.Err after Stop
-	p := &pipeline{cfg: cfg, res: res, reg: reg, injector: injector, mgr: mgr, resumed: resumed}
+	p := &pipeline{cfg: cfg, res: res, reg: reg, injector: injector}
 	defer func() {
 		if p.edge != nil {
 			p.edge.Close()
@@ -431,14 +433,21 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	}()
 
 	// ---- The stage loop: it alone owns the boundary protocol. ----
+	// Stage attribution for CPU profiles rides on pprof labels: the loop's
+	// goroutine carries the stage label while the stage works, every
+	// goroutine the stage spawns (probe sweep, parallelFor, emission shards)
+	// inherits it at spawn, and pprof.Do restores the caller's labels
+	// afterwards. The work between stages — the crashpoint, the observer's
+	// and the profile capturer's stage switch, and the checkpoint write —
+	// runs under stage=boundary, so a stage's label covers its own work
+	// only. Labels are set whether or not this run captures, so the live
+	// /debug/pprof endpoints see them too.
+	boundary := func(f func()) {
+		pprof.Do(ctx, pprof.Labels("stage", "boundary"), func(context.Context) { f() })
+	}
 	for _, st := range stages {
-		// Stage attribution for CPU profiles rides on pprof labels: the
-		// loop's goroutine carries the stage label for the whole boundary,
-		// every goroutine the stage spawns (probe sweep, parallelFor,
-		// emission shards) inherits it at spawn, and pprof.Do restores the
-		// caller's labels afterwards. Labels are set whether or not this run
-		// captures, so the live /debug/pprof endpoints see them too.
-		pprof.Do(ctx, pprof.Labels("stage", st.name), func(ctx context.Context) {
+		var before map[string]int64
+		boundary(func() {
 			// The seeded crashpoint fires here when it targets this
 			// boundary: after the previous stage's checkpoint and before
 			// any of this stage's work, exactly like a power loss between
@@ -446,8 +455,14 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			injector.CrashAtStage(st.name)
 			observer.SetStage(st.name)
 			capturer.StageBoundary(st.name)
+			if st.save != nil {
+				before = stageCounters(reg, st.name)
+			}
+		})
+		pprof.Do(ctx, pprof.Labels("stage", st.name), func(ctx context.Context) {
 			sctx, sp := obs.StartSpan(ctx, st.name)
 			if st.restore != nil && resumed.HasStage(st.name) && st.restore(p, resumed) {
+				restoreCounters(reg, st.name, resumed.Counters)
 				sp.SetAttr("resumed", true)
 			}
 			err = st.run(p, sctx, sp)
@@ -456,19 +471,20 @@ func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 			}
 			sp.SetError(err)
 			sp.End()
-			if err != nil {
-				return
-			}
-			var agg *pdns.Aggregate
-			var probed *checkpoint.ProbeState
-			if st.save != nil {
-				agg, probed = st.save(p)
-			}
-			mgr.StageDone(st.name, agg, probed)
 		})
 		if err != nil {
 			return res, fmt.Errorf("core: %s: %w", st.name, err)
 		}
+		boundary(func() {
+			var agg *pdns.Aggregate
+			var probed *checkpoint.ProbeState
+			var deltas map[string]int64
+			if st.save != nil {
+				agg, probed = st.save(p)
+				deltas = counterDeltas(reg, st.name, before)
+			}
+			mgr.StageDone(st.name, agg, probed, deltas)
+		})
 	}
 	return res, nil
 }
@@ -481,17 +497,21 @@ type stage struct {
 	// is the loop's to report, so run need not check it.
 	run func(p *pipeline, ctx context.Context, sp *obs.Span) error
 	// save returns what the stage's boundary checkpoint carries beyond the
-	// completed-stage ledger; nil for ledger-only stages.
+	// completed-stage ledger; nil for ledger-only stages. The loop adds the
+	// stage's degradation counter deltas (see stageCounters).
 	save func(p *pipeline) (*pdns.Aggregate, *checkpoint.ProbeState)
 	// restore adopts a resumed checkpoint's copy of the stage's output and
-	// reports whether the checkpoint had one; run then derives only what
-	// the checkpoint does not carry. Nil for stages that recompute.
+	// reports whether the checkpoint had one; the loop then adds the saved
+	// counter deltas back to the registry, and run derives only what the
+	// checkpoint does not carry. Nil for stages that recompute: they
+	// produce their output and their counters again.
 	restore func(p *pipeline, s *checkpoint.Snapshot) bool
 }
 
 // stages is the paper's method as data: substrate, then identify (§3.2),
 // probe (§3.3), sanitise and cluster (§3.4), classify (§5), assess and
-// disclose (§5.5). Names and order match fault.Stages, the crashpoints.
+// disclose (§5.5). Its names are the boundaries a seeded crash may target
+// (see stageTableNames).
 //
 // Only identify and probe checkpoint their output: the substrate is
 // regenerated from the seed (cheaper than serialising it), and the stages
@@ -530,6 +550,15 @@ var stages = []stage{
 	{name: "disclosure", run: (*pipeline).disclosure},
 }
 
+// stageTableNames lists the stage table's names in execution order.
+func stageTableNames() []string {
+	names := make([]string, len(stages))
+	for i, st := range stages {
+		names[i] = st.name
+	}
+	return names
+}
+
 // pipeline is one run's state between stages: the resolved config, the
 // substrate every stage reaches, the corpora one stage hands the next, and
 // the Results the stages fill in.
@@ -538,8 +567,6 @@ type pipeline struct {
 	res      *Results
 	reg      *obs.Registry
 	injector *fault.Injector
-	mgr      *checkpoint.Manager
-	resumed  *checkpoint.Snapshot
 
 	pop      *workload.Population
 	resolver *dnssim.Resolver
@@ -588,28 +615,7 @@ func (p *pipeline) identify(ctx context.Context, sp *obs.Span) error {
 		if cfg.Chaos.FeedCorrupt > 0 {
 			mutate = append(mutate, func(r *pdns.Record) { p.injector.CorruptRecord(r) })
 		}
-		var ck *workload.EmitCheckpoint
-		if p.mgr != nil || p.injector.CrashScheduled() {
-			ck = &workload.EmitCheckpoint{Interval: cfg.CheckpointInterval}
-			if p.mgr != nil {
-				ck.Snapshot = func(progress []int64, shards []*pdns.Aggregator, rows int64) error {
-					p.mgr.SaveEmission(progress, shards, rows)
-					return nil
-				}
-			}
-			if p.injector.CrashScheduled() {
-				ck.OnRow = func(n int64) { p.injector.CrashAtRow("identify", n) }
-			}
-		}
-		var rs *workload.EmitResume
-		if p.resumed != nil && p.resumed.Emission != nil {
-			// Mid-emission snapshot: restored shard aggregators continue
-			// from progress[i] functions; the skipped prefix never replays
-			// because every function owns its own RNG stream.
-			em := p.resumed.Emission
-			rs = &workload.EmitResume{Rows: em.Rows, Progress: em.Progress, Shards: em.Shards}
-		}
-		agg, err := workload.AggregateParallelCkpt(ctx, p.pop, p.resolver, nil, cfg.Workers, p.reg, ck, rs, mutate...)
+		agg, err := workload.AggregateParallel(ctx, p.pop, p.resolver, nil, cfg.Workers, p.reg, mutate...)
 		if err != nil {
 			return fmt.Errorf("pdns: %w", err)
 		}
@@ -880,6 +886,43 @@ var degradationMetrics = []struct {
 	// in what it measured (see summaryDegradations).
 	{"recovery_resumed_total", "pipeline", "recovery-resumed"},
 	{"checkpoint_write_errors_total", "pipeline", "checkpoint-write-errors"},
+}
+
+// stageCounters reads the registry counters behind stage's degradation
+// rows.
+func stageCounters(reg *obs.Registry, stage string) map[string]int64 {
+	snap := reg.Snapshot()
+	out := map[string]int64{}
+	for _, dm := range degradationMetrics {
+		if dm.stage == stage {
+			out[dm.metric] = snap.Counters[dm.metric]
+		}
+	}
+	return out
+}
+
+// counterDeltas returns how far stage has moved its degradation counters
+// since before, leaving out the ones it did not move. A stage's boundary
+// checkpoint records them, so a resume that restores the stage instead of
+// running it still reports what the stage absorbed.
+func counterDeltas(reg *obs.Registry, stage string, before map[string]int64) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range stageCounters(reg, stage) {
+		if d := v - before[name]; d != 0 {
+			out[name] = d
+		}
+	}
+	return out
+}
+
+// restoreCounters adds the counter deltas a checkpoint recorded for stage
+// back to the registry.
+func restoreCounters(reg *obs.Registry, stage string, saved map[string]int64) {
+	for _, dm := range degradationMetrics {
+		if v := saved[dm.metric]; dm.stage == stage && v != 0 {
+			reg.Counter(dm.metric).Add(v)
+		}
+	}
 }
 
 // collectDegradations snapshots the resilience counters into per-stage

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,14 +24,13 @@ import (
 // before any test runs.
 
 const (
-	envChild    = "SCF_CRASH_CHILD"
-	envScale    = "SCF_CRASH_SCALE"
-	envWorkers  = "SCF_CRASH_WORKERS"
-	envChaos    = "SCF_CRASH_CHAOS"
-	envDir      = "SCF_CRASH_DIR"
-	envInterval = "SCF_CRASH_INTERVAL"
-	envResume   = "SCF_CRASH_RESUME"
-	envTimeout  = "SCF_CRASH_TIMEOUT_MS"
+	envChild   = "SCF_CRASH_CHILD"
+	envScale   = "SCF_CRASH_SCALE"
+	envWorkers = "SCF_CRASH_WORKERS"
+	envChaos   = "SCF_CRASH_CHAOS"
+	envDir     = "SCF_CRASH_DIR"
+	envResume  = "SCF_CRASH_RESUME"
+	envTimeout = "SCF_CRASH_TIMEOUT_MS"
 	// envFull widens the matrix from the rotated default to the cross
 	// product of every stage boundary and worker count (make crash-full).
 	envFull = "SCF_CRASH_FULL"
@@ -59,10 +59,6 @@ func crashChildMain() int {
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", envWorkers, err))
 	}
-	interval, err := strconv.ParseInt(os.Getenv(envInterval), 10, 64)
-	if err != nil {
-		return fail(fmt.Errorf("%s: %w", envInterval, err))
-	}
 	timeoutMS, err := strconv.Atoi(os.Getenv(envTimeout))
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", envTimeout, err))
@@ -76,15 +72,14 @@ func crashChildMain() int {
 	elog := obs.NewEventLog()
 	ctx := obs.ContextWithEventLog(context.Background(), elog)
 	res, err := RunContext(ctx, Config{
-		Seed:               1,
-		Scale:              scale,
-		Workers:            workers,
-		SkipC2Scan:         true,
-		ProbeTimeout:       time.Duration(timeoutMS) * time.Millisecond,
-		Chaos:              prof,
-		CheckpointDir:      os.Getenv(envDir),
-		CheckpointInterval: interval,
-		Resume:             os.Getenv(envResume) == "1",
+		Seed:          1,
+		Scale:         scale,
+		Workers:       workers,
+		SkipC2Scan:    true,
+		ProbeTimeout:  time.Duration(timeoutMS) * time.Millisecond,
+		Chaos:         prof,
+		CheckpointDir: os.Getenv(envDir),
+		Resume:        os.Getenv(envResume) == "1",
 	})
 	if err != nil {
 		return fail(err)
@@ -97,15 +92,30 @@ func crashChildMain() int {
 
 // crashCell is one matrix coordinate.
 type crashCell struct {
-	spec    string // crash=<spec> chaos option
+	chaos   string // fault profile of both invocations: "" or "heavy"
+	spec    string // crash=<spec> chaos option of the crashing invocation
 	workers int
 }
 
-func (c crashCell) name() string { return fmt.Sprintf("%s_w%d", c.spec, c.workers) }
+func (c crashCell) name() string {
+	if c.chaos != "" {
+		return fmt.Sprintf("%s_%s_w%d", c.chaos, c.spec, c.workers)
+	}
+	return fmt.Sprintf("%s_w%d", c.spec, c.workers)
+}
+
+// crashChaos is the crashing invocation's chaos spec: the cell's fault
+// profile plus the crash schedule, which stays out of the run ID.
+func (c crashCell) crashChaos() string {
+	if c.chaos != "" {
+		return c.chaos + ",crash=" + c.spec
+	}
+	return "crash=" + c.spec
+}
 
 // runChild re-execs the test binary as a pipeline child and returns its exit
 // code and combined output.
-func runChild(t *testing.T, dir, chaos, scale, timeoutMS string, workers int, interval int64, resume bool) (int, string) {
+func runChild(t *testing.T, dir, chaos, scale, timeoutMS string, workers int, resume bool) (int, string) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -126,7 +136,6 @@ func runChild(t *testing.T, dir, chaos, scale, timeoutMS string, workers int, in
 		envWorkers+"="+strconv.Itoa(workers),
 		envChaos+"="+chaos,
 		envDir+"="+dir,
-		envInterval+"="+strconv.FormatInt(interval, 10),
 		envTimeout+"="+timeoutMS,
 		envResume+"="+map[bool]string{false: "0", true: "1"}[resume],
 	)
@@ -194,64 +203,68 @@ func deterministicFiles(t *testing.T, dir string) []string {
 const (
 	matrixScale     = "0.004"
 	matrixTimeoutMS = "500"
-	// matrixInterval forces mid-emission checkpoints well before the
-	// identify row targets below (scale 0.004 emits ~24.5k rows).
-	matrixInterval = int64(2500)
 )
 
-// matrixCells returns the crashpoint matrix: every stage boundary plus
-// mid-emission row targets. The default rotates worker counts across stages
-// to bound wall time; SCF_CRASH_FULL=1 runs the full cross product.
+// matrixCells returns the crashpoint matrix: every stage boundary, plus
+// heavy-chaos cells that crash at probe and classify, whose resumes restore
+// identify's (and probe's) counter deltas instead of re-running those
+// stages. The default rotates worker counts across stages to bound wall
+// time; SCF_CRASH_FULL=1 runs every boundary at every worker count.
 func matrixCells() []crashCell {
 	workerSet := []int{1, 2, 8}
 	var cells []crashCell
-	if os.Getenv(envFull) == "1" {
-		for _, st := range fault.Stages {
+	for i, st := range stageTableNames() {
+		if os.Getenv(envFull) == "1" {
 			for _, w := range workerSet {
 				cells = append(cells, crashCell{spec: st, workers: w})
 			}
+			continue
 		}
-		for _, rows := range []string{"3000", "9000", "17000"} {
-			for _, w := range workerSet {
-				cells = append(cells, crashCell{spec: "identify:" + rows, workers: w})
-			}
-		}
-		return cells
-	}
-	for i, st := range fault.Stages {
 		cells = append(cells, crashCell{spec: st, workers: workerSet[i%len(workerSet)]})
 	}
-	for _, w := range workerSet {
-		cells = append(cells, crashCell{spec: "identify:9000", workers: w})
+	for _, st := range []string{"probe", "classify"} {
+		for _, w := range []int{1, 8} {
+			cells = append(cells, crashCell{chaos: "heavy", spec: st, workers: w})
+		}
 	}
 	return cells
 }
 
 // TestCrashResumeMatrix kills the pipeline at every crashpoint in the matrix
-// — each stage boundary and mid-emission rows — in a real subprocess, resumes
-// it, and requires the resumed archive's deterministic half (summary.json and
-// every artifact) to be byte-identical to an uninterrupted run at the same
-// worker count.
+// in a real subprocess, resumes it, and requires the resumed archive's
+// deterministic half (summary.json, degradation rows included, and every
+// artifact) to be byte-identical to an uninterrupted run of the same fault
+// profile at the same worker count.
 func TestCrashResumeMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess matrix; skipped in -short")
 	}
-	// Uninterrupted baselines, one per worker count, shared by all cells.
-	baselines := map[int]string{}
-	for _, w := range []int{1, 2, 8} {
-		dir := t.TempDir()
-		if code, out := runChild(t, dir, "", matrixScale, matrixTimeoutMS, w, matrixInterval, false); code != 0 {
-			t.Fatalf("baseline workers=%d exited %d:\n%s", w, code, out)
+	cells := matrixCells()
+	// Uninterrupted baselines, one per (fault profile, worker count), shared
+	// by all cells.
+	type key struct {
+		chaos   string
+		workers int
+	}
+	baselines := map[key]string{}
+	for _, c := range cells {
+		k := key{c.chaos, c.workers}
+		if _, ok := baselines[k]; ok {
+			continue
 		}
-		baselines[w] = archiveDir(t, dir)
+		dir := t.TempDir()
+		if code, out := runChild(t, dir, c.chaos, matrixScale, matrixTimeoutMS, c.workers, false); code != 0 {
+			t.Fatalf("baseline %q workers=%d exited %d:\n%s", c.chaos, c.workers, code, out)
+		}
+		baselines[k] = archiveDir(t, dir)
 	}
 
-	for _, cell := range matrixCells() {
+	for _, cell := range cells {
 		cell := cell
 		t.Run(cell.name(), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			code, out := runChild(t, dir, "crash="+cell.spec, matrixScale, matrixTimeoutMS, cell.workers, matrixInterval, false)
+			code, out := runChild(t, dir, cell.crashChaos(), matrixScale, matrixTimeoutMS, cell.workers, false)
 			if code != fault.CrashExitCode {
 				t.Fatalf("crash child exited %d, want %d:\n%s", code, fault.CrashExitCode, out)
 			}
@@ -259,11 +272,11 @@ func TestCrashResumeMatrix(t *testing.T) {
 			if _, err := os.Stat(filepath.Join(dir, runs.SummaryFile)); err == nil {
 				t.Fatal("crashed child wrote a summary")
 			}
-			if code, out = runChild(t, dir, "", matrixScale, matrixTimeoutMS, cell.workers, matrixInterval, true); code != 0 {
+			if code, out = runChild(t, dir, cell.chaos, matrixScale, matrixTimeoutMS, cell.workers, true); code != 0 {
 				t.Fatalf("resume child exited %d, want 0:\n%s", code, out)
 			}
 			got := archiveDir(t, dir)
-			base := baselines[cell.workers]
+			base := baselines[key{cell.chaos, cell.workers}]
 			if filepath.Base(got) != filepath.Base(base) {
 				t.Fatalf("resumed run ID %s, baseline %s — crash spec leaked into the config hash",
 					filepath.Base(got), filepath.Base(base))
@@ -285,11 +298,11 @@ func TestCrashResumeGoldenConfig(t *testing.T) {
 		t.Skip("subprocess test; skipped in -short")
 	}
 	dir := t.TempDir()
-	code, out := runChild(t, dir, "crash=cluster", "0.01", "2000", 4, 10000, false)
+	code, out := runChild(t, dir, "crash=cluster", "0.01", "2000", 4, false)
 	if code != fault.CrashExitCode {
 		t.Fatalf("crash child exited %d, want %d:\n%s", code, fault.CrashExitCode, out)
 	}
-	if code, out = runChild(t, dir, "", "0.01", "2000", 4, 10000, true); code != 0 {
+	if code, out = runChild(t, dir, "", "0.01", "2000", 4, true); code != 0 {
 		t.Fatalf("resume child exited %d, want 0:\n%s", code, out)
 	}
 	got := archiveDir(t, dir)
@@ -320,24 +333,40 @@ func TestCrashResumeGoldenConfig(t *testing.T) {
 
 // TestRunIDIgnoresCheckpointConfig pins the identity rule the whole design
 // rests on: checkpointing observes a run, it does not change which
-// measurement the run is, so CheckpointDir/CheckpointInterval/Resume must be
-// invisible to the run ID. A crashing invocation and its resume would
-// otherwise land in different archive slots.
+// measurement the run is, so CheckpointDir/Resume and the crash schedule
+// must be invisible to the run ID. A crashing invocation and its resume
+// would otherwise land in different archive slots.
 func TestRunIDIgnoresCheckpointConfig(t *testing.T) {
 	base := Config{Seed: 1, Scale: 0.01, Workers: 4, SkipC2Scan: true, ProbeTimeout: 2 * time.Second}
 	plain := (&Results{Config: base}).RunID()
 	ck := base
 	ck.CheckpointDir = "/somewhere/else"
-	ck.CheckpointInterval = 777
 	ck.Resume = true
 	if got := (&Results{Config: ck}).RunID(); got != plain {
 		t.Errorf("run ID with checkpoint config = %s, without = %s", got, plain)
 	}
-	crash := base
-	crash.Chaos.CrashStage = "identify"
-	crash.Chaos.CrashRows = 9000
-	if got := (&Results{Config: crash}).RunID(); got != plain {
-		t.Errorf("run ID with crash schedule = %s, without = %s", got, plain)
+	for _, sched := range []fault.Profile{{CrashStage: "identify"}, {CrashAuto: 3}} {
+		crash := base
+		crash.Chaos = sched
+		if got := (&Results{Config: crash}).RunID(); got != plain {
+			t.Errorf("run ID with crash schedule %s = %s, without = %s", sched.CrashSpec(), got, plain)
+		}
+	}
+}
+
+// TestRunRejectsUnknownCrashStage: the stage table is the one list of
+// crashpoints, so a crash spec naming anything else — row crashpoints such
+// as identify:9000 included — fails the run before it starts.
+func TestRunRejectsUnknownCrashStage(t *testing.T) {
+	for _, spec := range []string{"crash=bogus", "crash=identify:9000"} {
+		prof, err := fault.ParseProfile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(Config{Seed: 1, Scale: 0.001, SkipC2Scan: true, Chaos: prof})
+		if res != nil || err == nil || !strings.Contains(err.Error(), "bad crash stage") {
+			t.Errorf("%s: res %v, err %v — want no run and a bad crash stage error", spec, res != nil, err)
+		}
 	}
 }
 

@@ -4,13 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/content"
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -81,8 +79,10 @@ func TestRunStageSpans(t *testing.T) {
 // stage's span records the cancellation, no later stage starts, and the
 // interrupted stage writes no checkpoint. A pre-cancelled context stops at
 // the first boundary check, after substrate; a cancel at the end of
-// identify interrupts probe; one at the end of sanitise interrupts cluster,
-// a stage that never looks at the context itself.
+// substrate stops emission inside identify and leaves substrate's
+// checkpoint the newest; a cancel at the end of identify interrupts probe;
+// one at the end of sanitise interrupts cluster, a stage that never looks
+// at the context itself.
 func TestRunContextCancel(t *testing.T) {
 	cases := []struct {
 		cancelAfter string // "" cancels before the run starts
@@ -90,6 +90,7 @@ func TestRunContextCancel(t *testing.T) {
 		lastCkpt    string // the newest boundary checkpoint
 	}{
 		{"", "substrate", ""},
+		{"substrate", "identify", "substrate"},
 		{"identify", "probe", "identify"},
 		{"sanitise", "cluster", "sanitise"},
 	}
@@ -149,19 +150,6 @@ func (c cancelAt) Write(p []byte) (int, error) {
 		c.cancel()
 	}
 	return len(p), nil
-}
-
-// TestStageTableMatchesCrashpoints: the stage table and the crashpoint
-// list agree on names and order, so every crash=<stage> spec has a
-// boundary to fire at.
-func TestStageTableMatchesCrashpoints(t *testing.T) {
-	var names []string
-	for _, st := range stages {
-		names = append(names, st.name)
-	}
-	if !reflect.DeepEqual(names, fault.Stages) {
-		t.Fatalf("stage table %v, crashpoints %v", names, fault.Stages)
-	}
 }
 
 // TestRunTraceOnContext verifies caller-supplied traces receive the stage

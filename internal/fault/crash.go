@@ -1,24 +1,18 @@
 // Seeded crashpoint schedule: a deterministic "kill -9 from inside". The
 // crash-resume matrix needs the pipeline to die at a precise, reproducible
-// point — a stage boundary or the N-th emitted row — in a real subprocess,
-// so the checkpoint on disk is exactly what a power loss would leave behind.
-// The schedule is part of the chaos profile (`-chaos none,crash=identify:9000`)
-// but deliberately outside the profile's String()/Enabled() surface: the
-// crashing invocation and the clean resume must hash to the same run ID.
+// stage boundary in a real subprocess, so the checkpoint on disk is exactly
+// what a power loss would leave behind. The schedule is part of the chaos
+// profile (`-chaos none,crash=probe`) but deliberately outside the
+// profile's String()/Enabled() surface: the crashing invocation and the
+// clean resume must hash to the same run ID.
 package fault
 
 import (
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 )
-
-// Stages is the pipeline's stage-boundary order; crash=<stage> specs are
-// validated against it and crash=auto draws from it. core's stage names and
-// execution order must match (core_test pins this).
-var Stages = []string{
-	"substrate", "identify", "probe", "sanitise",
-	"cluster", "classify", "assess", "disclosure",
-}
 
 // CrashExitCode is the status a scheduled crash exits with — 137, the shell
 // convention for SIGKILL, since the injected abort stands in for one.
@@ -31,121 +25,80 @@ var crashExit = func(msg string) {
 	os.Exit(CrashExitCode)
 }
 
-func validStage(s string) bool {
-	for _, st := range Stages {
-		if st == s {
-			return true
-		}
-	}
-	return false
-}
-
-// parseCrashSpec parses the crash=<spec> option value into p.
+// parseCrashSpec parses the crash=<spec> option value into p. A stage name
+// is kept as given: the pipeline's stage list is the injector's to check
+// (see Crashpoints).
 func parseCrashSpec(p *Profile, v string) error {
-	stage, arg, hasArg := cutColon(v)
-	if stage == "auto" {
-		k := int64(1)
-		if hasArg {
-			if _, err := fmt.Sscanf(arg, "%d", &k); err != nil || k < 1 {
-				return fmt.Errorf("fault: bad crash spec %q (want auto:<k> with k >= 1)", v)
-			}
+	p.CrashStage, p.CrashAuto = "", 0
+	stage, arg, hasArg := strings.Cut(v, ":")
+	switch {
+	case v == "":
+		return fmt.Errorf("fault: empty crash spec (want crash=<stage> or crash=auto[:k])")
+	case stage != "auto":
+		p.CrashStage = v
+	case !hasArg:
+		p.CrashAuto = 1
+	default:
+		var k int
+		if _, err := fmt.Sscanf(arg, "%d", &k); err != nil || k < 1 {
+			return fmt.Errorf("fault: bad crash spec %q (want auto:<k> with k >= 1)", v)
 		}
-		p.CrashAuto = int(k)
-		p.CrashStage, p.CrashRows = "", 0
-		return nil
-	}
-	if !validStage(stage) {
-		return fmt.Errorf("fault: bad crash stage %q (want one of %v, or auto)", stage, Stages)
-	}
-	p.CrashStage, p.CrashAuto = stage, 0
-	p.CrashRows = 0
-	if hasArg {
-		var rows int64
-		if _, err := fmt.Sscanf(arg, "%d", &rows); err != nil || rows < 1 {
-			return fmt.Errorf("fault: bad crash row count %q (want a positive integer)", arg)
-		}
-		p.CrashRows = rows
+		p.CrashAuto = k
 	}
 	return nil
-}
-
-func cutColon(s string) (before, after string, found bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == ':' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }
 
 // CrashSpec renders the profile's crash schedule for logs, or "" when none
 // is set. It is intentionally not part of Profile.String(): run IDs must not
 // see it.
 func (p Profile) CrashSpec() string {
-	switch {
-	case p.CrashAuto > 0:
+	if p.CrashAuto > 0 {
 		return fmt.Sprintf("auto:%d", p.CrashAuto)
-	case p.CrashStage != "" && p.CrashRows > 0:
-		return fmt.Sprintf("%s:%d", p.CrashStage, p.CrashRows)
-	case p.CrashStage != "":
-		return p.CrashStage
 	}
-	return ""
+	return p.CrashStage
 }
 
-// crashPoint resolves the profile's kill point. Explicit specs pass through;
-// auto mode derives (stage, rows) from seed ⊕ k through the crashpoint
-// stream: any stage boundary with equal probability, and for identify a coin
-// flip between the boundary and a mid-emission row in [1, 100000]. An auto
-// row target can overshoot the actual row count, in which case the run
-// simply completes — the matrix treats that as a vacuous cell.
-func (in *Injector) crashPoint() (stage string, rows int64, ok bool) {
+// Crashpoints installs the pipeline's stage boundaries, in execution order,
+// as the places a crash schedule may target: an explicit crash=<stage> must
+// name one of them, and crash=auto draws from them. The caller owns the
+// list; it must not change it afterwards.
+func (in *Injector) Crashpoints(stages []string) error {
 	if in == nil {
-		return "", 0, false
+		return nil
+	}
+	if st := in.prof.CrashStage; st != "" && !slices.Contains(stages, st) {
+		return fmt.Errorf("fault: bad crash stage %q (want one of %v, or auto)", st, stages)
+	}
+	in.stages = stages
+	return nil
+}
+
+// crashPoint resolves the profile's kill point. An explicit stage passes
+// through; auto mode derives the stage from seed ⊕ k through the
+// crashpoint stream, every boundary Crashpoints installed with equal
+// probability.
+func (in *Injector) crashPoint() (stage string, ok bool) {
+	if in == nil {
+		return "", false
 	}
 	p := in.prof
 	switch {
 	case p.CrashStage != "":
-		return p.CrashStage, p.CrashRows, true
-	case p.CrashAuto > 0:
+		return p.CrashStage, true
+	case p.CrashAuto > 0 && len(in.stages) > 0:
 		s := newStream(uint64(p.Seed), uint64(p.CrashAuto)*0x9e3779b97f4a7c15, streamCrash)
-		stage = Stages[s.next()%uint64(len(Stages))]
-		if stage == "identify" && s.next()%2 == 1 {
-			rows = 1 + int64(s.next()%100000)
-		}
-		return stage, rows, true
+		return in.stages[s.next()%uint64(len(in.stages))], true
 	}
-	return "", 0, false
-}
-
-// CrashScheduled reports whether the profile schedules any crash; callers
-// use it to decide whether per-row accounting is worth wiring up.
-func (in *Injector) CrashScheduled() bool {
-	_, _, ok := in.crashPoint()
-	return ok
+	return "", false
 }
 
 // CrashAtStage aborts the process if the schedule targets this stage's entry
-// boundary (no row component). Called by core at every stage start.
+// boundary. Called by core at every stage start.
 func (in *Injector) CrashAtStage(stage string) {
-	st, rows, ok := in.crashPoint()
-	if !ok || rows > 0 || st != stage {
+	if st, ok := in.crashPoint(); !ok || st != stage {
 		return
 	}
 	if in.crashFired.CompareAndSwap(false, true) {
 		crashExit(fmt.Sprintf("fault: injected crash at stage boundary %q", stage))
-	}
-}
-
-// CrashAtRow aborts the process once n rows have been emitted inside the
-// targeted stage. The workload coordinator calls it per emitted row when
-// CrashScheduled is true.
-func (in *Injector) CrashAtRow(stage string, n int64) {
-	st, rows, ok := in.crashPoint()
-	if !ok || rows <= 0 || st != stage || n < rows {
-		return
-	}
-	if in.crashFired.CompareAndSwap(false, true) {
-		crashExit(fmt.Sprintf("fault: injected crash at stage %q row %d", stage, n))
 	}
 }

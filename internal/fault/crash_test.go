@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,19 +17,21 @@ func swapCrashExit(t *testing.T) *[]string {
 	return &fired
 }
 
+// testStages stands in for the pipeline's stage table, which core installs
+// with Crashpoints.
+var testStages = []string{"substrate", "identify", "probe", "sanitise"}
+
 func TestParseCrashSpecs(t *testing.T) {
 	cases := []struct {
 		spec  string
 		stage string
-		rows  int64
 		auto  int
 	}{
-		{"none,crash=probe", "probe", 0, 0},
-		{"crash=probe", "probe", 0, 0}, // bare option leaves the fault half unset
-		{"crash=identify:9000", "identify", 9000, 0},
-		{"heavy,crash=disclosure,seed=9", "disclosure", 0, 0},
-		{"crash=auto", "", 0, 1},
-		{"crash=auto:4", "", 0, 4},
+		{"none,crash=probe", "probe", 0},
+		{"crash=probe", "probe", 0}, // bare option leaves the fault half unset
+		{"heavy,crash=disclosure,seed=9", "disclosure", 0},
+		{"crash=auto", "", 1},
+		{"crash=auto:4", "", 4},
 	}
 	for _, c := range cases {
 		p, err := ParseProfile(c.spec)
@@ -36,15 +39,12 @@ func TestParseCrashSpecs(t *testing.T) {
 			t.Errorf("ParseProfile(%q): %v", c.spec, err)
 			continue
 		}
-		if p.CrashStage != c.stage || p.CrashRows != c.rows || p.CrashAuto != c.auto {
-			t.Errorf("ParseProfile(%q) = stage %q rows %d auto %d, want %q/%d/%d",
-				c.spec, p.CrashStage, p.CrashRows, p.CrashAuto, c.stage, c.rows, c.auto)
+		if p.CrashStage != c.stage || p.CrashAuto != c.auto {
+			t.Errorf("ParseProfile(%q) = stage %q auto %d, want %q/%d",
+				c.spec, p.CrashStage, p.CrashAuto, c.stage, c.auto)
 		}
 	}
-	for _, bad := range []string{
-		"crash=bogus", "crash=identify:0", "crash=identify:-5",
-		"crash=auto:0", "crash=identify:x", "crash=",
-	} {
+	for _, bad := range []string{"crash=auto:0", "crash=auto:x", "crash="} {
 		if _, err := ParseProfile(bad); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", bad)
 		}
@@ -56,7 +56,7 @@ func TestParseCrashSpecs(t *testing.T) {
 // the crashing invocation and the clean resume hash the chaos string into
 // the same run ID.
 func TestCrashSpecOutsideRunIdentity(t *testing.T) {
-	p, err := ParseProfile("none,crash=identify:9000")
+	p, err := ParseProfile("none,crash=identify")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCrashSpecOutsideRunIdentity(t *testing.T) {
 	if p.String() != clean.String() {
 		t.Errorf("String() = %q with crash spec, %q without — run IDs would diverge", p.String(), clean.String())
 	}
-	if got := p.CrashSpec(); got != "identify:9000" {
+	if got := p.CrashSpec(); got != "identify" {
 		t.Errorf("CrashSpec() = %q", got)
 	}
 }
@@ -78,11 +78,7 @@ func TestCrashSpecOutsideRunIdentity(t *testing.T) {
 func TestCrashAtStage(t *testing.T) {
 	fired := swapCrashExit(t)
 	in := New(Profile{CrashStage: "probe"})
-	if !in.CrashScheduled() {
-		t.Fatal("CrashScheduled() = false with a stage target")
-	}
 	in.CrashAtStage("identify")
-	in.CrashAtRow("probe", 100)
 	if len(*fired) != 0 {
 		t.Fatalf("crash fired early: %v", *fired)
 	}
@@ -93,54 +89,39 @@ func TestCrashAtStage(t *testing.T) {
 	}
 }
 
-func TestCrashAtRow(t *testing.T) {
-	fired := swapCrashExit(t)
-	in := New(Profile{CrashStage: "identify", CrashRows: 500})
-	in.CrashAtStage("identify") // row-targeted: boundary must not fire
-	in.CrashAtRow("identify", 499)
-	in.CrashAtRow("probe", 500) // wrong stage
-	if len(*fired) != 0 {
-		t.Fatalf("crash fired early: %v", *fired)
-	}
-	in.CrashAtRow("identify", 500)
-	in.CrashAtRow("identify", 501)
-	if len(*fired) != 1 || !strings.Contains((*fired)[0], "row 500") {
-		t.Fatalf("fired = %v, want exactly one row-500 crash", *fired)
-	}
-}
-
 // TestCrashAutoDeterministic: auto mode must derive the same kill point from
 // the same (seed, k), a different one for different k at least somewhere in
-// a small sweep, and always a valid stage.
+// a small sweep, and always one of the installed stages.
 func TestCrashAutoDeterministic(t *testing.T) {
-	stageOf := func(seed int64, k int) (string, int64) {
-		st, rows, ok := New(Profile{Seed: seed, CrashAuto: k}).crashPoint()
+	stageOf := func(seed int64, k int) string {
+		in := New(Profile{Seed: seed, CrashAuto: k})
+		if err := in.Crashpoints(testStages); err != nil {
+			t.Fatal(err)
+		}
+		st, ok := in.crashPoint()
 		if !ok {
 			t.Fatalf("auto:%d not scheduled", k)
 		}
-		if !validStage(st) {
+		if !slices.Contains(testStages, st) {
 			t.Fatalf("auto:%d resolved to invalid stage %q", k, st)
 		}
-		if rows > 0 && st != "identify" {
-			t.Fatalf("auto:%d put a row target on stage %q", k, st)
-		}
-		return st, rows
+		return st
 	}
 	varied := false
 	for k := 1; k <= 8; k++ {
-		s1, r1 := stageOf(7, k)
-		s2, r2 := stageOf(7, k)
-		if s1 != s2 || r1 != r2 {
-			t.Fatalf("auto:%d not deterministic: %s:%d vs %s:%d", k, s1, r1, s2, r2)
+		s1, s2 := stageOf(7, k), stageOf(7, k)
+		if s1 != s2 {
+			t.Fatalf("auto:%d not deterministic: %s vs %s", k, s1, s2)
 		}
-		if f, _ := stageOf(7, 1); k > 1 && (s1 != f) {
-			varied = true
-		}
+		varied = varied || s1 != stageOf(7, 1)
 	}
 	if !varied {
 		t.Error("auto:1..8 all resolved to the same stage — stream looks constant")
 	}
-	if in := New(Profile{}); in.CrashScheduled() {
+	if _, ok := New(Profile{}).crashPoint(); ok {
 		t.Error("empty profile claims a scheduled crash")
+	}
+	if _, ok := New(Profile{CrashAuto: 1}).crashPoint(); ok {
+		t.Error("auto crash scheduled with no stages installed")
 	}
 }

@@ -63,15 +63,13 @@ type Profile struct {
 	FeedCorrupt float64 // PDNS records are mangled (fail validation)
 
 	// Crash schedule (see crash.go). CrashStage aborts the process at that
-	// stage's entry boundary; with CrashRows > 0 the abort instead fires once
-	// CrashRows rows have been emitted inside the stage. CrashAuto > 0 picks
-	// the kill point pseudo-randomly from the seed instead (the k-th drawing
-	// of the seeded crashpoint stream). Crash fields are deliberately absent
+	// stage's entry boundary. CrashAuto > 0 picks the boundary
+	// pseudo-randomly from the seed instead (the k-th drawing of the seeded
+	// crashpoint stream). Crash fields are deliberately absent
 	// from both Enabled and String: a crash does not alter any fault
 	// schedule, and the crashing and resuming invocations of a run must
 	// share a run ID, which hashes Profile.String().
 	CrashStage string
-	CrashRows  int64
 	CrashAuto  int
 }
 
@@ -117,7 +115,7 @@ func (p Profile) OrEnv() (Profile, error) {
 		env.Seed = p.Seed
 	}
 	if p.CrashSpec() != "" {
-		env.CrashStage, env.CrashRows, env.CrashAuto = p.CrashStage, p.CrashRows, p.CrashAuto
+		env.CrashStage, env.CrashAuto = p.CrashStage, p.CrashAuto
 	}
 	return env, nil
 }
@@ -155,9 +153,9 @@ func (p Profile) String() string {
 // ParseProfile parses a chaos spec: "none", "light", or "heavy", optionally
 // followed by ",seed=N" to pin the schedule seed and/or ",crash=<spec>" to
 // schedule a deterministic process abort. Crash specs: "crash=<stage>" kills
-// at the stage's entry boundary, "crash=<stage>:<rows>" kills after that
-// many rows inside the stage, "crash=auto:<k>" derives the kill point from
-// the seed (the k-th draw of the crashpoint stream).
+// at the stage's entry boundary, "crash=auto:<k>" derives the boundary from
+// the seed (the k-th draw of the crashpoint stream). Stage names are checked
+// against the pipeline's stages when it installs them (Injector.Crashpoints).
 func ParseProfile(spec string) (Profile, error) {
 	parts := strings.Split(spec, ",")
 	var p Profile
@@ -273,8 +271,10 @@ type Injector struct {
 
 	dials sync.Map // fqdn → *atomic.Int64, dials attempted so far
 
-	// crashFired latches the scheduled process abort so re-entrant stage or
-	// row checks can never fire it twice (see crash.go).
+	// stages are the boundaries a crash may target (see Crashpoints);
+	// crashFired latches the scheduled process abort so it can never fire
+	// twice.
+	stages     []string
 	crashFired atomic.Bool
 
 	// Telemetry; populated by Instrument, no-ops otherwise.

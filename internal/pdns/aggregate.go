@@ -371,8 +371,6 @@ type bitset struct {
 	n     int
 }
 
-func newBitset(n int) bitset { return bitset{words: make([]uint64, (n+63)/64), n: n} }
-
 // setIfUnset sets bit i and reports whether it was previously clear.
 // Out-of-range indices report false.
 func (b bitset) setIfUnset(i int) bool {

@@ -267,6 +267,8 @@ func TestPerFunctionStatsExcludesSharedDomains(t *testing.T) {
 	}
 }
 
+func newBitset(n int) bitset { return bitset{words: make([]uint64, (n+63)/64), n: n} }
+
 func TestBitset(t *testing.T) {
 	b := newBitset(731)
 	if !b.setIfUnset(0) || b.setIfUnset(0) {

@@ -10,78 +10,22 @@ import (
 )
 
 // This file is the serialisation boundary of the aggregation engine: it
-// dumps and restores an in-flight Aggregator (checkpointing mid-emission)
-// and a finished Aggregate (checkpointing the identify stage boundary) as
-// compact binary blobs. The codec lives in pdns rather than the checkpoint
-// package because an Aggregator's hot state — the seen-days bitsets, the
-// window, the trend maps — is deliberately unexported.
+// dumps and restores a finished Aggregate (the identify stage's boundary
+// checkpoint) as a compact binary blob. The codec lives in pdns rather than
+// the checkpoint package so it sits next to the types it walks.
 //
 // Determinism matters here: every map is emitted in sorted key order, so
 // the same logical state always serialises to the same bytes and checkpoint
 // files can be compared or fingerprinted like any other artifact. Strings
 // (FQDNs, rdata values) each occur exactly once across the maps, so no
-// intern table is needed on the wire; the PR 7 columnar caches (symtab,
-// per-symbol tables, arenas) are rebuilt lazily after restore — the next
-// AddBatch adopts its producer's fresh Symtab and falls back to the byFQDN
-// map on first sight of each symbol, which is exactly the adoption path a
-// brand-new aggregator takes.
+// intern table is needed on the wire.
 
 const (
 	stateVersion = 1
-	// Mode tags so an aggregator-state blob handed to DecodeAggregate (or
-	// vice versa) fails loudly instead of mis-parsing.
-	modeAggregator = 'S'
-	modeAggregate  = 'A'
+	// modeAggregate tags the blob's kind, so a blob of any other kind
+	// handed to DecodeAggregate fails loudly instead of mis-parsing.
+	modeAggregate = 'A'
 )
-
-// EncodeState serialises the aggregator's full in-flight state, including
-// the live per-FQDN seen-days bitsets, so a restored aggregator can keep
-// counting distinct active days without double-counting. Call before
-// Finish; the columnar caches are intentionally not serialised.
-func (a *Aggregator) EncodeState(w io.Writer) error {
-	bw := binio.NewWriter(w)
-	bw.Uvarint(stateVersion)
-	bw.Uvarint(modeAggregator)
-	bw.Varint(int64(a.window.start))
-	bw.Varint(int64(a.window.end))
-	bw.Varint(a.scanned)
-	bw.Varint(a.matched)
-	bw.Varint(a.dropped)
-	encodeFQDNStatsMap(bw, a.byFQDN, true)
-	encodeProviderMap(bw, a.byProvider)
-	encodeNewPerDay(bw, a.newPerDay)
-	encodeMonthly(bw, a.monthlyReq)
-	return bw.Err()
-}
-
-// DecodeAggregatorState restores an aggregator serialised by EncodeState.
-// The matcher is re-injected by the caller (nil selects all collected
-// providers, matching workload.AggregateParallel); telemetry is re-attached
-// with Instrument/InstrumentShard as usual. The returned aggregator accepts
-// further Add/AddBatch calls and Finishes identically to one that was never
-// serialised.
-func DecodeAggregatorState(data []byte, matcher *providers.Matcher) (*Aggregator, error) {
-	r := binio.NewReader(data)
-	start, end, scanned, matched, dropped, err := decodeStateHeader(r, modeAggregator)
-	if err != nil {
-		return nil, err
-	}
-	a := NewAggregator(matcher, start, end)
-	a.scanned, a.matched, a.dropped = scanned, matched, dropped
-	if a.byFQDN, err = decodeFQDNStatsMap(r, true, end.Sub(start)+1); err != nil {
-		return nil, err
-	}
-	if a.byProvider, err = decodeProviderMap(r); err != nil {
-		return nil, err
-	}
-	if a.newPerDay, err = decodeNewPerDay(r); err != nil {
-		return nil, err
-	}
-	if a.monthlyReq, err = decodeMonthly(r); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
 
 // EncodeAggregate serialises a finished Aggregate (bitsets already
 // released; DaysCount is final).
@@ -94,7 +38,7 @@ func EncodeAggregate(w io.Writer, ag *Aggregate) error {
 	bw.Varint(ag.Scanned)
 	bw.Varint(ag.Matched)
 	bw.Varint(ag.Dropped)
-	encodeFQDNStatsMap(bw, ag.ByFQDN, false)
+	encodeFQDNStatsMap(bw, ag.ByFQDN)
 	encodeProviderMap(bw, ag.ByProvider)
 	encodeNewPerDay(bw, ag.NewPerDay)
 	encodeMonthly(bw, ag.MonthlyReq)
@@ -104,7 +48,7 @@ func EncodeAggregate(w io.Writer, ag *Aggregate) error {
 // DecodeAggregate restores an Aggregate serialised by EncodeAggregate.
 func DecodeAggregate(data []byte) (*Aggregate, error) {
 	r := binio.NewReader(data)
-	start, end, scanned, matched, dropped, err := decodeStateHeader(r, modeAggregate)
+	start, end, scanned, matched, dropped, err := decodeStateHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +56,7 @@ func DecodeAggregate(data []byte) (*Aggregate, error) {
 		Window:  Window{Start: start, End: end},
 		Scanned: scanned, Matched: matched, Dropped: dropped,
 	}
-	if ag.ByFQDN, err = decodeFQDNStatsMap(r, false, 0); err != nil {
+	if ag.ByFQDN, err = decodeFQDNStatsMap(r); err != nil {
 		return nil, err
 	}
 	if ag.ByProvider, err = decodeProviderMap(r); err != nil {
@@ -127,7 +71,7 @@ func DecodeAggregate(data []byte) (*Aggregate, error) {
 	return ag, nil
 }
 
-func decodeStateHeader(r *binio.Reader, wantMode uint64) (start, end Date, scanned, matched, dropped int64, err error) {
+func decodeStateHeader(r *binio.Reader) (start, end Date, scanned, matched, dropped int64, err error) {
 	v, err := r.Uvarint()
 	if err != nil {
 		return
@@ -140,8 +84,8 @@ func decodeStateHeader(r *binio.Reader, wantMode uint64) (start, end Date, scann
 	if err != nil {
 		return
 	}
-	if mode != wantMode {
-		err = fmt.Errorf("pdns: state mode %q does not match expected %q", rune(mode), rune(wantMode))
+	if mode != modeAggregate {
+		err = fmt.Errorf("pdns: state mode %q does not match expected %q", rune(mode), rune(modeAggregate))
 		return
 	}
 	read := func(dst *int64) {
@@ -162,7 +106,7 @@ func decodeStateHeader(r *binio.Reader, wantMode uint64) (start, end Date, scann
 	return
 }
 
-func encodeFQDNStatsMap(w *binio.Writer, m map[string]*FQDNStats, withDays bool) {
+func encodeFQDNStatsMap(w *binio.Writer, m map[string]*FQDNStats) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -178,29 +122,10 @@ func encodeFQDNStatsMap(w *binio.Writer, m map[string]*FQDNStats, withDays bool)
 		w.Varint(int64(fs.LastSeenAll))
 		w.Varint(int64(fs.DaysCount))
 		w.Varint(fs.TotalRequest)
-		if !withDays {
-			continue
-		}
-		// Seen-days bitset: count of non-zero words, then (index, word)
-		// pairs. Most functions are active on a handful of days, so the
-		// sparse form beats dumping every window word.
-		nz := 0
-		for _, word := range fs.seenDays.words {
-			if word != 0 {
-				nz++
-			}
-		}
-		w.Uvarint(uint64(nz))
-		for i, word := range fs.seenDays.words {
-			if word != 0 {
-				w.Uvarint(uint64(i))
-				w.Uvarint(word)
-			}
-		}
 	}
 }
 
-func decodeFQDNStatsMap(r *binio.Reader, withDays bool, windowDays int) (map[string]*FQDNStats, error) {
+func decodeFQDNStatsMap(r *binio.Reader) (map[string]*FQDNStats, error) {
 	n, err := r.Count(8)
 	if err != nil {
 		return nil, fmt.Errorf("pdns: fqdn stats: %w", err)
@@ -227,27 +152,6 @@ func decodeFQDNStatsMap(r *binio.Reader, withDays bool, windowDays int) (map[str
 		}
 		fs.FirstSeenAll, fs.LastSeenAll = Date(ints[0]), Date(ints[1])
 		fs.DaysCount, fs.TotalRequest = int(ints[2]), ints[3]
-		if withDays {
-			fs.seenDays = newBitset(windowDays)
-			nz, err := r.Count(2)
-			if err != nil {
-				return nil, err
-			}
-			for j := 0; j < nz; j++ {
-				idx, err := r.Uvarint()
-				if err != nil {
-					return nil, err
-				}
-				word, err := r.Uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if idx >= uint64(len(fs.seenDays.words)) {
-					return nil, fmt.Errorf("pdns: fqdn stats %s: bitset word %d outside %d-word window", fs.FQDN, idx, len(fs.seenDays.words))
-				}
-				fs.seenDays.words[idx] = word
-			}
-		}
 		out[fs.FQDN] = fs
 	}
 	return out, nil

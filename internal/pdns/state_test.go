@@ -39,49 +39,20 @@ func stateAggregator(t *testing.T, recs []Record) *Aggregator {
 	return agg
 }
 
-// TestAggregatorStateRoundTrip pins the checkpoint contract for an in-flight
-// aggregator: serialise mid-stream, restore, keep adding the identical tail,
-// and the finished Aggregate must equal the uninterrupted one's exactly.
-func TestAggregatorStateRoundTrip(t *testing.T) {
-	recs := stateRecords(date(2022, time.April, 1))
-	half := len(recs) / 2
-
-	cont := stateAggregator(t, recs[:half])
-	var buf bytes.Buffer
-	if err := cont.EncodeState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := DecodeAggregatorState(buf.Bytes(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := half; i < len(recs); i++ {
-		cont.Add(&recs[i])
-		restored.Add(&recs[i])
-	}
-	want := stateAggregator(t, recs).Finish()
-	if got := cont.Finish(); !reflect.DeepEqual(got, want) {
-		t.Error("continuing the original aggregator after EncodeState diverged")
-	}
-	if got := restored.Finish(); !reflect.DeepEqual(got, want) {
-		t.Error("restored aggregator finished differently from the uninterrupted one")
-	}
-}
-
 // TestAggregatorStateDeterministic: the same logical state must serialise to
 // the same bytes (maps are emitted in sorted order), so checkpoint files can
 // be fingerprinted like any other artifact.
 func TestAggregatorStateDeterministic(t *testing.T) {
 	recs := stateRecords(date(2022, time.April, 1))
 	var a, b bytes.Buffer
-	if err := stateAggregator(t, recs).EncodeState(&a); err != nil {
+	if err := EncodeAggregate(&a, stateAggregator(t, recs).Finish()); err != nil {
 		t.Fatal(err)
 	}
-	if err := stateAggregator(t, recs).EncodeState(&b); err != nil {
+	if err := EncodeAggregate(&b, stateAggregator(t, recs).Finish()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("two encodings of the same aggregator state differ")
+		t.Error("two encodings of the same aggregate differ")
 	}
 }
 
@@ -102,23 +73,17 @@ func TestAggregateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateModeMismatch: handing an aggregate blob to the aggregator decoder
-// (or vice versa) must fail loudly, not mis-parse.
+// TestStateModeMismatch: a blob whose mode tag is not the aggregate's must
+// fail loudly, not mis-parse.
 func TestStateModeMismatch(t *testing.T) {
-	agg := stateAggregator(t, stateRecords(date(2022, time.April, 1)))
-	var inflight bytes.Buffer
-	if err := agg.EncodeState(&inflight); err != nil {
+	var buf bytes.Buffer
+	if err := EncodeAggregate(&buf, stateAggregator(t, stateRecords(date(2022, time.April, 1))).Finish()); err != nil {
 		t.Fatal(err)
 	}
-	var finished bytes.Buffer
-	if err := EncodeAggregate(&finished, agg.Finish()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeAggregate(inflight.Bytes()); err == nil {
-		t.Error("DecodeAggregate accepted an in-flight aggregator blob")
-	}
-	if _, err := DecodeAggregatorState(finished.Bytes(), nil); err == nil {
-		t.Error("DecodeAggregatorState accepted a finished aggregate blob")
+	data := buf.Bytes()
+	data[1] = 'S' // byte 0 is the version uvarint, byte 1 the mode tag
+	if _, err := DecodeAggregate(data); err == nil {
+		t.Error("DecodeAggregate accepted a blob with a foreign mode tag")
 	}
 }
 
@@ -126,12 +91,12 @@ func TestStateModeMismatch(t *testing.T) {
 // panic or succeed.
 func TestStateDecodeTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := stateAggregator(t, stateRecords(date(2022, time.April, 1))).EncodeState(&buf); err != nil {
+	if err := EncodeAggregate(&buf, stateAggregator(t, stateRecords(date(2022, time.April, 1))).Finish()); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	for n := 0; n < len(data); n += 1 + n/16 {
-		if _, err := DecodeAggregatorState(data[:n], nil); err == nil {
+		if _, err := DecodeAggregate(data[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded successfully", n, len(data))
 		}
 	}

@@ -3,10 +3,13 @@ package workload
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"runtime/pprof"
 	"sync"
 
 	"repro/internal/dnssim"
+	"repro/internal/lazyrand"
 	"repro/internal/obs"
 	"repro/internal/pdns"
 	"repro/internal/providers"
@@ -31,6 +34,73 @@ func shardFunctions(pop *Population, workers int) [][]*Function {
 	return shards
 }
 
+// emitShards runs the one sharded emission loop: every shard on its own
+// goroutine, shard i into sinks[i], and returns the first shard's error in
+// shard order. Each worker merges a "shard" pprof label into whatever
+// labels ctx already carries (core's stage loop puts the "stage" label
+// there), so profile samples answer "which shard of identify burnt the
+// time".
+func emitShards(ctx context.Context, pop *Population, resolver *dnssim.Resolver, rowsPerBatch int, sinks []func(*pdns.RecordBatch) error) error {
+	if rowsPerBatch <= 0 {
+		rowsPerBatch = pdns.DefaultBatchRows
+	}
+	shards := shardFunctions(pop, len(sinks))
+	errs := make([]error, len(sinks))
+	var wg sync.WaitGroup
+	for wkr := range sinks {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels("shard", fmt.Sprintf("%d", wkr))))
+			errs[wkr] = emitShard(ctx, pop, resolver, shards[wkr], rowsPerBatch, sinks[wkr])
+		}(wkr)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// emitShard emits one shard's functions into a reused batch, flushing it
+// to sink every rowsPerBatch rows and once at the end. It checks ctx
+// between functions, so a cancelled run stops within one function's
+// history. The shard keeps one RNG and reseeds it per function with
+// functionSeed — the same stream functionRNG would build, without
+// allocating a fresh 5 KB source for every function.
+func emitShard(ctx context.Context, pop *Population, resolver *dnssim.Resolver, funcs []*Function, rowsPerBatch int, sink func(*pdns.RecordBatch) error) error {
+	batch := pdns.NewRecordBatch(rowsPerBatch)
+	sc := &emitScratch{}
+	rng := rand.New(lazyrand.New(0))
+	var fsym pdns.Sym
+	row := func(t pdns.RType, rdata string, firstUnix, lastUnix, cnt int64, day pdns.Date) error {
+		batch.Append(fsym, t, batch.Syms.Intern(rdata), firstUnix, lastUnix, cnt, day)
+		if batch.Len() >= rowsPerBatch {
+			if err := sink(batch); err != nil {
+				return err
+			}
+			batch.Reset()
+		}
+		return nil
+	}
+	for _, f := range funcs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		fsym = batch.Syms.Intern(f.FQDN)
+		rng.Seed(functionSeed(pop.Config.Seed, f.FQDN))
+		if err := emitFunctionInto(pop, f, resolver, rng, sc, row); err != nil {
+			return fmt.Errorf("workload: emit %s: %w", f.FQDN, err)
+		}
+	}
+	if batch.Len() == 0 {
+		return nil
+	}
+	return sink(batch)
+}
+
 // EmitPDNSParallelBatch emits the population's PDNS history as columnar
 // batches across a pool of workers. Functions are sharded by
 // pdns.ShardByFQDN, so all records of one function stay on one worker and
@@ -48,21 +118,14 @@ func shardFunctions(pop *Population, workers int) [][]*Function {
 //
 // Exactly one sink per worker is required (sink i sees shard i from a
 // single goroutine), so shard-local aggregation of the batches is
-// bit-identical to the serial scalar pass for any worker count. This is the
-// checkpoint coordinator's loop with no checkpoint: the one emission path
-// every internal consumer shares.
+// bit-identical to the serial scalar pass for any worker count. It runs
+// emitShards, the one emission loop AggregateParallel shares.
 func EmitPDNSParallelBatch(pop *Population, resolver *dnssim.Resolver, workers, rowsPerBatch int, sinks ...func(*pdns.RecordBatch) error) error {
 	workers = normWorkers(workers)
 	if len(sinks) != workers {
 		return fmt.Errorf("workload: EmitPDNSParallelBatch got %d sinks for %d workers (want exactly %d)", len(sinks), workers, workers)
 	}
-	c := newEmitCoord(nil, nil, workers)
-	for _, err := range c.run(context.Background(), pop, resolver, rowsPerBatch, sinks) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return emitShards(context.Background(), pop, resolver, rowsPerBatch, sinks)
 }
 
 // EmitPDNSOrdered produces the exact record sequence of EmitPDNS — same
@@ -128,11 +191,11 @@ func EmitPDNSOrdered(pop *Population, resolver *dnssim.Resolver, workers int, si
 // AggregateParallel runs the whole substrate→identification hot path —
 // synthetic PDNS emission plus §3.2 aggregation — on a worker pool: one
 // shard-local pdns.Aggregator per worker fed directly by that worker's
-// columnar batches (EmitPDNSParallelBatch's loop → Aggregator.AddBatch: no
-// channel funnel, no per-record allocation), merged at the end. Because
-// functions are sharded by FQDN and every per-FQDN stream is
-// order-independent, the result is identical to the serial EmitPDNS →
-// Aggregator.Add pass for any worker count.
+// columnar batches (emitShards → Aggregator.AddBatch: no channel funnel,
+// no per-record allocation), merged at the end. Because functions are
+// sharded by FQDN and every per-FQDN stream is order-independent, the
+// result is identical to the serial EmitPDNS → Aggregator.Add pass for any
+// worker count.
 //
 // Each shard aggregator is pre-sized from its expected function count, and
 // the merge folds the smaller shards into the largest one instead of
@@ -140,7 +203,9 @@ func EmitPDNSOrdered(pop *Population, resolver *dnssim.Resolver, workers int, si
 // negative scaling the bench history recorded at workers=2.
 //
 // ctx carries the stage trace: each worker shard records an
-// "emit-shard-<i>" span with its record count. reg receives the
+// "emit-shard-<i>" span with its record count. Every shard checks ctx
+// between functions, so cancelling it stops emission promptly and returns
+// the context's error with no aggregate. reg receives the
 // aggregators' shared throughput counters; both may be nil. A nil matcher
 // selects all collected providers.
 //
@@ -153,5 +218,95 @@ func EmitPDNSOrdered(pop *Population, resolver *dnssim.Resolver, workers int, si
 // A hook must be safe for concurrent calls; each record it sees is owned by
 // the current worker for the duration of the call.
 func AggregateParallel(ctx context.Context, pop *Population, resolver *dnssim.Resolver, matcher *providers.Matcher, workers int, reg *obs.Registry, mutate ...func(*pdns.Record)) (*pdns.Aggregate, error) {
-	return AggregateParallelCkpt(ctx, pop, resolver, matcher, workers, reg, nil, nil, mutate...)
+	workers = normWorkers(workers)
+	w := Window()
+	aggs := make([]*pdns.Aggregator, workers)
+	spans := make([]*obs.Span, workers)
+	counts := make([]int64, workers)
+	emitVec := reg.CounterVec("workload_emit_records_total", "shard")
+	sinks := make([]func(*pdns.RecordBatch) error, workers)
+	// Hash sharding is mildly uneven; a quarter of headroom on the expected
+	// per-shard function count avoids both rehashing and gross oversizing.
+	expect := len(pop.Functions)/workers + len(pop.Functions)/(4*workers) + 16
+	for i := range aggs {
+		agg := pdns.NewAggregator(matcher, w.Start, w.End)
+		agg.Presize(expect)
+		shard := fmt.Sprintf("%d", i)
+		agg.InstrumentShard(reg, shard)
+		aggs[i] = agg
+		emitted := emitVec.With(shard)
+		_, spans[i] = obs.StartSpan(ctx, fmt.Sprintf("emit-shard-%d", i))
+		var rec pdns.Record
+		sinks[i] = func(b *pdns.RecordBatch) error {
+			if len(mutate) > 0 {
+				mutateRows(b, &rec, mutate)
+			}
+			agg.AddBatch(b)
+			n := int64(b.Len())
+			counts[i] += n
+			emitted.Add(n)
+			return nil
+		}
+	}
+	reg.Gauge("workload_emit_workers").Set(int64(workers))
+
+	err := emitShards(ctx, pop, resolver, pdns.DefaultBatchRows, sinks)
+	for i, sp := range spans {
+		sp.SetAttr("records", counts[i])
+		sp.SetError(err)
+		sp.End()
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	finished := make([]*pdns.Aggregate, workers)
+	for i, a := range aggs {
+		finished[i] = a.Finish()
+	}
+	base := 0
+	for i, ag := range finished {
+		if ag.TotalDomains() > finished[base].TotalDomains() {
+			base = i
+		}
+	}
+	out := finished[base]
+	for i, ag := range finished {
+		if i == base {
+			continue
+		}
+		if merr := out.Merge(ag); merr != nil {
+			return nil, merr
+		}
+	}
+	return out, nil
+}
+
+// mutateRows runs the hooks over every row of b in place: each row is
+// materialised into rec, mutated, and written back (Set re-interns any
+// string a hook changed), so AddBatch's rowValid drops a mangled row
+// exactly where Record.Validate would have.
+func mutateRows(b *pdns.RecordBatch, rec *pdns.Record, mutate []func(*pdns.Record)) {
+	for i := 0; i < b.Len(); i++ {
+		b.At(i, rec)
+		for _, m := range mutate {
+			m(rec)
+		}
+		b.Set(i, rec)
+	}
+}
+
+// EmitCheckpoint and EmitResume are empty placeholders, and
+// AggregateParallelCkpt forwards to AggregateParallel, for one caller: the
+// benchmark module's feed child (scfbench/child.go), which is built from
+// the same checkout and still passes (nil, nil). Checkpoints are taken at
+// stage boundaries only, so emission has nothing to snapshot or resume.
+type (
+	EmitCheckpoint struct{}
+	EmitResume     struct{}
+)
+
+// AggregateParallelCkpt is AggregateParallel; ck and rs are ignored.
+func AggregateParallelCkpt(ctx context.Context, pop *Population, resolver *dnssim.Resolver, matcher *providers.Matcher, workers int, reg *obs.Registry, ck *EmitCheckpoint, rs *EmitResume, mutate ...func(*pdns.Record)) (*pdns.Aggregate, error) {
+	return AggregateParallel(ctx, pop, resolver, matcher, workers, reg, mutate...)
 }
