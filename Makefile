@@ -3,7 +3,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet bench bench-json bench-smoke prof timeline chaos gate health crash crash-full check
+.PHONY: build test race vet bench bench-json bench-smoke c2scan-smoke prof timeline chaos gate health crash crash-full check
 
 build:
 	$(GO) build ./...
@@ -42,7 +42,7 @@ bench:
 # The layer benchmarks of the perf ledger: the parallel substrate, the
 # analysis kernels, the per-function RNG stream, the identify kernel
 # (structural Table 1 checks against the compiled patterns), the C2
-# scanner's per-host benchmark (kernel socket and in-memory edge) and one
+# scanner's per-host benchmark (over the in-memory edge) and one
 # probe per target class over the in-memory edge (ProbeTarget). bench-json
 # and bench-smoke both run this one pattern.
 BENCH_PATTERN = EmitPDNS|AggregateParallel|Top10Share|Table2Resolution|FunctionStream|IdentifyRegion|C2ScanHost|ProbeTarget
@@ -71,6 +71,20 @@ bench-json:
 # drift without paying for a measurement run. CI runs it.
 bench-smoke:
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchtime=1x -benchmem -run=^$$ ./...
+
+# Smoke run of examples/c2scan, which scans a Cobalt Strike-like relay and a
+# benign function over the in-memory edge. Fails unless the relay's block
+# prints a MATCH for each of cs-like-1, cs-like-2 and cs-like-3, and the
+# benign function's block prints none. CI runs it.
+c2scan-smoke:
+	@out="$$($(GO) run ./examples/c2scan)" || { echo "$$out"; exit 1; }; echo "$$out"; \
+		relay="$$(echo "$$out" | sed -n '/^suspected relay/,/^$$/p')"; \
+		benign="$$(echo "$$out" | sed -n '/^benign function/,/^$$/p')"; \
+		for fp in cs-like-1 cs-like-2 cs-like-3; do \
+			echo "$$relay" | grep -q "MATCH .*fingerprint=$$fp " \
+				|| { echo "c2scan-smoke: the relay printed no MATCH for $$fp" >&2; exit 1; }; \
+		done; \
+		if echo "$$benign" | grep -q MATCH; then echo "c2scan-smoke: the benign function matched" >&2; exit 1; fi
 
 # Continuous profiling pass: run the golden configuration with -profile (the
 # run ID and every deterministic fingerprint are unchanged by profiling, so

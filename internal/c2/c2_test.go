@@ -2,10 +2,15 @@ package c2
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faas"
+	"repro/internal/providers"
 )
 
 func TestDefaultDBShape(t *testing.T) {
@@ -103,62 +108,67 @@ func TestProbeFor(t *testing.T) {
 	}
 }
 
-func TestScannerDetectsRelay(t *testing.T) {
-	db := DefaultDB()
-	relay, err := NewRelay(db, FamilyCobaltStrike)
-	if err != nil {
-		t.Fatal(err)
+// relayHandler answers invocations as a relay of family deployed by the
+// pipeline does: BannerResponse over the request's method, path with query,
+// headers and body.
+func relayHandler(db *DB, family string) faas.Handler {
+	return func(ctx *faas.InvokeContext) faas.Response {
+		r := ctx.Request
+		path := r.Path
+		if r.Query != "" {
+			path += "?" + r.Query
+		}
+		status, ct, body, _ := BannerResponse(db, family, r.Method, path, r.Headers, r.Body)
+		return faas.Response{Status: status, Headers: map[string]string{"Content-Type": ct}, Body: body}
 	}
-	defer relay.Close()
+}
 
+// edgeScanner deploys each host's handler on a faas platform, serves the
+// gateway over an in-memory edge and returns a scanner that dials the
+// edge's plain listener whatever the port, as the pipeline's sweep does.
+func edgeScanner(t *testing.T, db *DB, handlers map[string]faas.Handler) *Scanner {
+	t.Helper()
+	platform := faas.NewPlatform()
+	for host, h := range handlers {
+		platform.Deploy(host, providers.AWS, "us-east-1", faas.Config{}, h, time.Time{})
+	}
+	edge := faas.StartEdge(faas.NewGateway(platform))
+	t.Cleanup(edge.Close)
 	s := NewScanner(db)
 	s.Timeout = 2 * time.Second
-	// Route every probe to the relay regardless of nominal port.
-	s.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, network, relay.Addr())
-	}
-	ds := s.ScanHost(context.Background(), "1234567890-abcdefghij-ap-guangzhou.scf.tencentcs.com")
+	s.Dial = func(ctx context.Context, _, _ string) (net.Conn, error) { return edge.DialPlain(ctx) }
+	return s
+}
+
+func TestScannerDetectsRelay(t *testing.T) {
+	db := DefaultDB()
+	const host = "relay.lambda-url.us-east-1.on.aws"
+	s := edgeScanner(t, db, map[string]faas.Handler{host: relayHandler(db, FamilyCobaltStrike)})
+	ds := s.ScanHost(context.Background(), host)
 	fams := Families(ds)
 	if len(fams) != 1 || fams[0] != FamilyCobaltStrike {
 		t.Fatalf("families = %v, want [%s] (detections %v)", fams, FamilyCobaltStrike, ds)
 	}
-	// All three variants respond on their declared ports: 2+2+1 hits.
-	if len(ds) != 5 {
-		t.Errorf("detections = %d, want 5 (cs variants x ports)", len(ds))
+	// All three variants respond, each reported on its declared ports:
+	// 2+2+1 hits.
+	var got []string
+	for _, d := range ds {
+		got = append(got, fmt.Sprintf("%s:%d", d.Fingerprint, d.Port))
+	}
+	want := []string{"cs-like-1:80", "cs-like-1:443", "cs-like-2:80", "cs-like-2:443", "cs-like-3:443"}
+	if !slices.Equal(got, want) {
+		t.Errorf("detections = %v, want %v", got, want)
 	}
 }
 
 func TestScannerCleanHost(t *testing.T) {
-	// A listener that always answers 404 must produce no detections.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				buf := make([]byte, 4096)
-				c.SetReadDeadline(time.Now().Add(time.Second))
-				c.Read(buf)
-				c.Write([]byte("HTTP/1.1 404 Not Found\r\nContent-Length: 9\r\nConnection: close\r\n\r\nNot Found"))
-			}(c)
-		}
-	}()
+	// A function that always answers 404 must produce no detections.
 	db := DefaultDB()
-	s := NewScanner(db)
-	s.Timeout = time.Second
-	s.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, network, ln.Addr().String())
-	}
-	if ds := s.ScanHost(context.Background(), "clean.example"); len(ds) != 0 {
+	const host = "clean.lambda-url.us-east-1.on.aws"
+	s := edgeScanner(t, db, map[string]faas.Handler{host: func(*faas.InvokeContext) faas.Response {
+		return faas.Response{Status: 404, Headers: map[string]string{"Content-Type": "text/plain"}, Body: []byte("Not Found")}
+	}})
+	if ds := s.ScanHost(context.Background(), host); len(ds) != 0 {
 		t.Errorf("clean host produced detections: %v", ds)
 	}
 }
@@ -216,6 +226,25 @@ func TestBannerResponse(t *testing.T) {
 	status, _, _, ok = BannerResponse(db, FamilyInfoStealer, "GET", "/", nil, nil)
 	if ok || status != 404 {
 		t.Errorf("plain GET answered with %d ok=%v", status, ok)
+	}
+	// net/http hands the function canonical header names: cs-like-2's
+	// X-Request-ID arrives as X-Request-Id and must still match.
+	status, _, body, ok = BannerResponse(db, FamilyCobaltStrike, "GET", "/ga.js", map[string]string{
+		"User-Agent":   "Mozilla/5.0 (Windows NT 10.0; WOW64)",
+		"Accept":       "*/*",
+		"X-Request-Id": "beacon-7f3a",
+	}, nil)
+	if cs2 := db.ByFamily(FamilyCobaltStrike)[1]; !ok || status != 200 || !cs2.Match.Matches(body) {
+		t.Errorf("canonicalised cs-like-2 probe answered with %d ok=%v", status, ok)
+	}
+	// A header value still has to match exactly.
+	status, _, _, ok = BannerResponse(db, FamilyCobaltStrike, "GET", "/ga.js", map[string]string{
+		"User-Agent":   "Mozilla/5.0 (Windows NT 10.0; WOW64)",
+		"Accept":       "*/*",
+		"X-Request-Id": "beacon-0000",
+	}, nil)
+	if ok || status != 404 {
+		t.Errorf("wrong X-Request-Id value answered with %d ok=%v", status, ok)
 	}
 }
 

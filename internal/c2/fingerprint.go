@@ -11,6 +11,13 @@
 // (QiAnXin); this package ships a synthetic database of identical shape,
 // including Cobalt Strike-like and InfoStealer-like families, so the
 // scanning logic exercises the same code paths.
+//
+// Relays are functions on the simulated FaaS platform: BannerResponse
+// answers the HTTP-parsed request a function receives, and HandleRaw
+// answers the raw probe bytes, the oracle BannerResponse is tested against.
+// The simulated transport is port-blind (port 443 reaches the same
+// plain-HTTP listener as port 80), so the Scanner sends each fingerprint's
+// probe once per host and reports a match on every declared port.
 package c2
 
 import (
@@ -25,7 +32,9 @@ type Fingerprint struct {
 	ID     string
 	Family string
 
-	// Ports to probe. The study probed 80 (HTTP) and 443 (HTTPS).
+	// Ports to probe. The study probed 80 (HTTP) and 443 (HTTPS). Over a
+	// port-blind transport the Scanner sends the probe to Ports[0] only and
+	// reports a match on every port listed.
 	Ports []int
 
 	// Probe is the raw request emitted after the TCP handshake. The

@@ -1,106 +1,18 @@
 package c2
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
-	"net"
-	"strings"
-	"sync"
-	"time"
 )
 
-// Relay simulates a cloud function hiding a C2 server of one family
+// HandleRaw answers a raw request as a relay of the given family would
 // (paper Algorithm 1: the function forwards requests to the hidden C2 and
-// returns its responses). Speaking the family protocol on a real TCP
-// listener lets the Scanner exercise its full network path in tests and in
-// the integration pipeline.
-type Relay struct {
-	Family string
-	db     *DB
-
-	ln     net.Listener
-	wg     sync.WaitGroup
-	closed chan struct{}
-}
-
-// NewRelay starts a relay for family on a loopback listener.
-func NewRelay(db *DB, family string) (*Relay, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("c2: relay listen: %w", err)
-	}
-	r := &Relay{Family: family, db: db, ln: ln, closed: make(chan struct{})}
-	r.wg.Add(1)
-	go r.serve()
-	return r, nil
-}
-
-// Addr returns the relay's host:port.
-func (r *Relay) Addr() string { return r.ln.Addr().String() }
-
-// Close stops the listener and waits for in-flight connections.
-func (r *Relay) Close() {
-	close(r.closed)
-	r.ln.Close()
-	r.wg.Wait()
-}
-
-func (r *Relay) serve() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			select {
-			case <-r.closed:
-				return
-			default:
-				continue
-			}
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			defer conn.Close()
-			conn.SetDeadline(time.Now().Add(5 * time.Second))
-			req := readRequest(conn)
-			conn.Write(HandleRaw(r.db, r.Family, req))
-		}()
-	}
-}
-
-// readRequest reads one HTTP-framed request (headers plus declared body).
-func readRequest(conn net.Conn) []byte {
-	br := bufio.NewReader(conn)
-	var buf bytes.Buffer
-	contentLength := 0
-	for {
-		line, err := br.ReadString('\n')
-		buf.WriteString(line)
-		if err != nil {
-			return buf.Bytes()
-		}
-		l := strings.ToLower(strings.TrimSpace(line))
-		if v, ok := strings.CutPrefix(l, "content-length:"); ok {
-			fmt.Sscanf(strings.TrimSpace(v), "%d", &contentLength)
-		}
-		if line == "\r\n" || line == "\n" {
-			break
-		}
-	}
-	if contentLength > 0 && contentLength < 1<<20 {
-		body := make([]byte, contentLength)
-		n, _ := io.ReadFull(br, body)
-		buf.Write(body[:n])
-	}
-	return buf.Bytes()
-}
-
-// HandleRaw answers a raw request as a relay of the given family would: if
-// the request matches the probe shape of one of the family's fingerprints,
-// the hidden C2's banner comes back framed as an HTTP 200; anything else
-// gets a generic 404, exactly how these functions evade content review.
+// returns its responses): if the request matches the probe shape of one of
+// the family's fingerprints, the hidden C2's banner comes back framed as an
+// HTTP 200; anything else gets a generic 404, exactly how these functions
+// evade content review. It works on the bytes the scanner sends, with no
+// HTTP parser in between, which makes it the oracle that the function-level
+// BannerResponse, served through the faas edge, is tested against.
 func HandleRaw(db *DB, family string, req []byte) []byte {
 	for _, fp := range db.ByFamily(family) {
 		if probeShapeMatches(fp, req) {
@@ -116,34 +28,48 @@ func HandleRaw(db *DB, family string, req []byte) []byte {
 		len(body), body))
 }
 
-// probeShapeMatches checks whether req looks like fp's probe: same request
-// line and the probe's distinctive non-Host headers/body are present.
+var crlf = []byte("\r\n")
+
+// probeShapeMatches checks whether req looks like fp's probe: the same
+// request line, each of the probe's headers other than Host and framing,
+// and the probe's body. Header names compare case-insensitively, as HTTP
+// defines them: a request that went through net/http arrives with its
+// names canonicalised (X-Request-ID becomes X-Request-Id).
 func probeShapeMatches(fp *Fingerprint, req []byte) bool {
-	probe := fp.ProbeFor("x")
-	probeLine, _, ok := bytes.Cut(probe, []byte("\r\n"))
-	if !ok {
-		return false
-	}
-	reqLine, _, ok := bytes.Cut(req, []byte("\r\n"))
-	if !ok {
-		return false
-	}
+	probeHead, probeBody, _ := bytes.Cut(fp.ProbeFor("x"), []byte("\r\n\r\n"))
+	reqHead, reqBody, _ := bytes.Cut(req, []byte("\r\n\r\n"))
+	probeLine, probeHeaders, _ := bytes.Cut(probeHead, crlf)
+	reqLine, reqHeaders, _ := bytes.Cut(reqHead, crlf)
 	if !bytes.Equal(probeLine, reqLine) {
 		return false
 	}
-	// Every probe line except request line, Host, and framing noise must
-	// appear in the request.
-	for _, line := range bytes.Split(probe, []byte("\r\n"))[1:] {
-		if len(line) == 0 || bytes.HasPrefix(line, []byte("Host:")) ||
-			bytes.HasPrefix(line, []byte("Connection:")) ||
-			bytes.HasPrefix(line, []byte("Content-Length:")) {
+	for _, line := range bytes.Split(probeHeaders, crlf) {
+		name, _, _ := bytes.Cut(line, []byte(":"))
+		if bytes.EqualFold(name, []byte("Host")) ||
+			bytes.EqualFold(name, []byte("Connection")) ||
+			bytes.EqualFold(name, []byte("Content-Length")) {
 			continue
 		}
-		if !bytes.Contains(req, line) {
+		if !hasHeaderLine(reqHeaders, line) {
 			return false
 		}
 	}
-	return true
+	return bytes.Contains(reqBody, probeBody)
+}
+
+// hasHeaderLine reports whether the header block head holds want, a
+// "Name: value" line, with the name compared case-insensitively and the
+// value exactly, less the whitespace around it.
+func hasHeaderLine(head, want []byte) bool {
+	wantName, wantValue, _ := bytes.Cut(want, []byte(":"))
+	wantValue = bytes.TrimSpace(wantValue)
+	for _, line := range bytes.Split(head, crlf) {
+		name, value, _ := bytes.Cut(line, []byte(":"))
+		if bytes.EqualFold(name, wantName) && bytes.Equal(bytes.TrimSpace(value), wantValue) {
+			return true
+		}
+	}
+	return false
 }
 
 // BannerResponse returns (status, contentType, body) for the simulated

@@ -11,35 +11,46 @@ import (
 )
 
 // Scanner probes hosts for C2 relays by emitting each fingerprint's request
-// over a fresh TCP connection and matching the raw response bytes (paper
-// §5.1: connect on ports 80 and 443, send family probe payloads, match the
+// over a fresh connection and matching the raw response bytes (paper §5.1:
+// connect on ports 80 and 443, send family probe payloads, match the
 // traffic fingerprint of the response).
+//
+// The scanner assumes its transport is port-blind: a host answers a probe
+// with the same bytes on every port the fingerprint declares. So each
+// fingerprint costs one exchange per host, on its first declared port, and
+// a match is reported on every declared port. This holds for every Dial in
+// the repository (the pipeline's plain edge listener, the tests' dialers and
+// the example), all of which send port 443 in plain text to the listener
+// port 80 reaches. A transport that gives port 443 its own behaviour, such
+// as real TLS or a plain net.Dialer on the open Internet, breaks the
+// assumption: the scan must then go back to one exchange per fingerprint
+// and port.
 type Scanner struct {
 	DB *DB
 	// Timeout bounds each connection attempt and read.
 	Timeout time.Duration
-	// Dial opens the transport connection. Tests and the simulation point
-	// this at the in-process gateway; the default is net.Dialer.
+	// Dial opens the transport connection. The caller sets it, and it must
+	// be port-blind (see Scanner); the simulation and the tests point it at
+	// the in-process edge.
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
 	// MaxResponse bounds how many response bytes are read per probe.
 	MaxResponse int
 
 	// Telemetry; populated by Instrument, no-ops otherwise.
 	mHosts    *obs.Counter   // c2_hosts_scanned_total
-	mProbes   *obs.Counter   // c2_probes_total: fingerprint connections tried
+	mProbes   *obs.Counter   // c2_probes_total: fingerprint exchanges tried
 	mConnFail *obs.Counter   // c2_conn_failures_total
 	mHits     *obs.Counter   // c2_detections_total
 	mInflight *obs.Gauge     // c2_inflight: hosts being scanned right now
 	mLatency  *obs.Histogram // c2_scan_seconds: full per-host sweep time
 }
 
-// NewScanner builds a scanner over db with sane defaults.
+// NewScanner builds a scanner over db with sane defaults, except Dial,
+// which the caller sets.
 func NewScanner(db *DB) *Scanner {
-	d := &net.Dialer{}
 	return &Scanner{
 		DB:          db,
 		Timeout:     5 * time.Second,
-		Dial:        d.DialContext,
 		MaxResponse: 64 << 10,
 	}
 }
@@ -55,11 +66,12 @@ func (s *Scanner) Instrument(reg *obs.Registry) {
 	s.mLatency = reg.Histogram("c2_scan_seconds", nil)
 }
 
-// ScanHost probes one host with every fingerprint on its declared ports and
-// returns the detections. A host that matches any variant of a family is
-// reported once per (fingerprint, port) hit; callers typically dedupe by
-// family. Connection failures are treated as "not a relay", never as errors:
-// a scan of the open Internet sees them constantly.
+// ScanHost probes one host with every fingerprint and returns the
+// detections. Each fingerprint's probe goes out once, to its first declared
+// port; a match is reported once per declared port, in declaration order,
+// because the transport is port-blind (see Scanner). Callers typically
+// dedupe by family. Connection failures are treated as "not a relay", never
+// as errors: a scan of the open Internet sees them constantly.
 func (s *Scanner) ScanHost(ctx context.Context, host string) []Detection {
 	s.mHosts.Inc()
 	s.mInflight.Add(1)
@@ -74,18 +86,21 @@ func (s *Scanner) ScanHost(ctx context.Context, host string) []Detection {
 		hit bool
 	)
 	for _, fp := range s.DB.All() {
-		probe := fp.ProbeFor(host)
+		if ctx.Err() != nil {
+			return out
+		}
+		if len(fp.Ports) == 0 {
+			continue
+		}
+		if hit, buf = s.probeOne(ctx, host, fp.Ports[0], fp, fp.ProbeFor(host), buf); !hit {
+			continue
+		}
 		for _, port := range fp.Ports {
-			if ctx.Err() != nil {
-				return out
-			}
-			if hit, buf = s.probeOne(ctx, host, port, fp, probe, buf); hit {
-				s.mHits.Inc()
-				out = append(out, Detection{
-					Host: host, Port: port,
-					Fingerprint: fp.ID, Family: fp.Family,
-				})
-			}
+			s.mHits.Inc()
+			out = append(out, Detection{
+				Host: host, Port: port,
+				Fingerprint: fp.ID, Family: fp.Family,
+			})
 		}
 	}
 	return out

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/obs"
 )
 
 // pipeScanner returns a scanner whose every dial is answered in memory by
@@ -30,6 +35,46 @@ func pipeScanner(t *testing.T, db *DB, respond func(probe []byte) []byte) *Scann
 		return client, nil
 	}
 	return s
+}
+
+// TestScanHostOneExchangePerFingerprint scans a Cobalt Strike-like relay
+// over a port-blind transport. Each fingerprint's probe goes out once, to
+// its first declared port, and a match is reported on every declared port:
+// 26 exchanges and 5 detections, counted as such.
+func TestScanHostOneExchangePerFingerprint(t *testing.T) {
+	db := DefaultDB()
+	s := pipeScanner(t, db, func(probe []byte) []byte { return HandleRaw(db, FamilyCobaltStrike, probe) })
+	var dialed []string
+	dial := s.Dial
+	s.Dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dialed = append(dialed, addr)
+		return dial(ctx, network, addr)
+	}
+	reg := obs.NewRegistry()
+	s.Instrument(reg)
+	ds := s.ScanHost(context.Background(), "h.example")
+
+	var want []string
+	for _, fp := range db.All() {
+		want = append(want, net.JoinHostPort("h.example", strconv.Itoa(fp.Ports[0])))
+	}
+	if !slices.Equal(dialed, want) {
+		t.Errorf("dialed %v, want each fingerprint's first port once: %v", dialed, want)
+	}
+	var got []string
+	for _, d := range ds {
+		got = append(got, fmt.Sprintf("%s:%d", d.Fingerprint, d.Port))
+	}
+	if w := []string{"cs-like-1:80", "cs-like-1:443", "cs-like-2:80", "cs-like-2:443", "cs-like-3:443"}; !slices.Equal(got, w) {
+		t.Errorf("detections = %v, want %v", got, w)
+	}
+	snap := reg.Snapshot()
+	if n := snap.Counters["c2_probes_total"]; n != int64(db.Len()) {
+		t.Errorf("c2_probes_total = %d, want %d", n, db.Len())
+	}
+	if n := snap.Counters["c2_detections_total"]; n != int64(len(ds)) {
+		t.Errorf("c2_detections_total = %d, want %d", n, len(ds))
+	}
 }
 
 // TestScanHostReusedBufferSeesOnlyOwnBytes scans a host whose first probe

@@ -589,15 +589,21 @@ func (p *pipeline) substrate(_ context.Context, sp *obs.Span) error {
 	p.resolver.Instrument(p.reg)
 
 	p.db = c2.DefaultDB()
-	platform := faas.NewPlatform()
-	workload.Deploy(p.pop, platform, p.db)
-	gw := faas.NewGateway(platform)
-	gw.Instrument(p.reg)
-	gw.Clock = workload.DeployWindowClock()
-	gw.UnreachableDelay = 10 * cfg.ProbeTimeout
-	p.edge = faas.StartEdge(gw)
+	p.edge = startEdge(cfg, p.pop, p.db, p.reg)
 	sp.SetAttr("functions", len(p.pop.Functions))
 	return nil
+}
+
+// startEdge deploys every function of pop on a fresh platform and serves
+// its gateway over an in-memory edge.
+func startEdge(cfg Config, pop *workload.Population, db *c2.DB, reg *obs.Registry) *faas.Edge {
+	platform := faas.NewPlatform()
+	workload.Deploy(pop, platform, db)
+	gw := faas.NewGateway(platform)
+	gw.Instrument(reg)
+	gw.Clock = workload.DeployWindowClock()
+	gw.UnreachableDelay = 10 * cfg.ProbeTimeout
+	return faas.StartEdge(gw)
 }
 
 // identify is PDNS identification and aggregation (§3.2, §4). Emission and
@@ -747,19 +753,10 @@ func (p *pipeline) classify(ctx context.Context, sp *obs.Span) error {
 	}
 	p.docs = nil // consumed, as the corpus is in cluster
 	if !cfg.SkipC2Scan {
-		// The paper probed every domain; the sweep skips hosts whose HTTP
-		// probe already timed out or failed DNS, because re-timing-out on 52
-		// probes per host only burns wall clock.
-		var c2Targets []string
-		for i := range res.ProbeResults {
-			r := &res.ProbeResults[i]
-			if r.Reachable || r.Failure == probe.FailConn {
-				c2Targets = append(c2Targets, r.FQDN)
-			}
-		}
+		targets := c2Targets(res.ProbeResults)
 		cctx, csp := obs.StartSpan(ctx, "c2-sweep")
-		res.C2Detections = scanC2(cctx, cfg, p.edge, p.db, p.reg, c2Targets)
-		csp.SetAttr("targets", len(c2Targets))
+		res.C2Detections = scanC2(cctx, cfg, p.edge, p.db, p.reg, targets)
+		csp.SetAttr("targets", len(targets))
 		csp.SetAttr("detections", len(res.C2Detections))
 		csp.SetError(cctx.Err())
 		csp.End()
@@ -991,18 +988,33 @@ func clusterByType(docs []string, types []content.Type, cfg Config) map[content.
 	return out
 }
 
+// c2Targets picks the hosts the C2 sweep scans. The paper probed every
+// domain; the sweep skips hosts whose HTTP probe already timed out or failed
+// DNS, because re-timing-out on 26 exchanges per host only burns wall clock.
+func c2Targets(results []probe.Result) []string {
+	var out []string
+	for i := range results {
+		r := &results[i]
+		if r.Reachable || r.Failure == probe.FailConn {
+			out = append(out, r.FQDN)
+		}
+	}
+	return out
+}
+
 // c2Concurrency bounds concurrent fingerprint scans.
 const c2Concurrency = 32
 
-// c2Timeout bounds each C2 probe connection: half the probe timeout, at most
+// c2Timeout bounds each C2 exchange: half the probe timeout, at most
 // a second, because stalling unreachable hosts dominate sweep time.
 func c2Timeout(probeTimeout time.Duration) time.Duration {
 	return min(probeTimeout/2, time.Second)
 }
 
 // scanC2 sweeps every target with the fingerprint scanner through the plain
-// edge listener, c2Concurrency hosts at a time. A cancelled ctx stops
-// scheduling new hosts and aborts in-flight scans. Detections come back
+// edge listener, c2Concurrency hosts at a time. The listener is port-blind,
+// so the scanner sends each fingerprint's probe once per host (c2.Scanner).
+// A cancelled ctx stops scheduling new hosts and aborts in-flight scans. Detections come back
 // sorted by host, each host's in DB order, not in the order the scans
 // finished: seedTI and the verdicts read them first to last.
 func scanC2(ctx context.Context, cfg Config, edge *faas.Edge, db *c2.DB, reg *obs.Registry, targets []string) []c2.Detection {
